@@ -576,16 +576,17 @@ int run_dse(core::Engine& engine, const core::ExploreRequest& request,
   // --out streams each point the moment it completes (completion order;
   // the "index" field is the canonical position) through DseShardWriter's
   // durable file sink: bytes land in FILE.tmp with an fsync per point and
-  // finish() atomically renames onto FILE — the final path only ever
-  // holds a complete document, and the .tmp survives a hard kill for
-  // --resume.  --merge restores canonical order and recomputes the
-  // frontier.
+  // finish() rewrites the points in canonical index order and atomically
+  // renames onto FILE — the final path only ever holds a complete
+  // document, byte-identical at any --threads, and the .tmp survives a
+  // hard kill for --resume.  --merge recombines shards and recomputes
+  // the frontier.
   std::unique_ptr<core::DseShardWriter> shard_writer;
   core::Engine::ExploreHooks hooks;
   if (!out_path.empty()) {
     shard_writer = std::make_unique<core::DseShardWriter>(out_path, metadata);
-    // Re-emit the recovered prefix first: with --threads 1 the resumed
-    // file is then byte-identical to an uninterrupted run's.
+    // Re-emit the recovered prefix first; finish() sorts the published
+    // file, so it is byte-identical to an uninterrupted run's.
     for (const core::DsePoint& pt : recovered.points) {
       shard_writer->add_point(pt);
     }

@@ -916,10 +916,10 @@ DseShardWriter::DseShardWriter(std::unique_ptr<ShardSink> sink,
   // Terminate the document immediately: a sweep killed while its first
   // (possibly expensive) point is still simulating must already leave a
   // parseable zero-point shard on disk.
-  const uint64_t header_end = sink_->tell();
+  header_end_ = sink_->tell();
   sink_->write("\n]\n}\n");
   sink_->flush();
-  sink_->seek(header_end);
+  sink_->seek(header_end_);
 }
 
 DseShardWriter::DseShardWriter(std::ostream& out, Metadata metadata)
@@ -934,11 +934,12 @@ void DseShardWriter::add_point(const DsePoint& point) {
   if (finished_) {
     throw std::logic_error("DseShardWriter: add_point after finish");
   }
-  std::string text;
-  if (any_points_) text += ",";
-  any_points_ = true;
-  text += "\n" + to_json(point).dump(-1);
-  sink_->write(text);
+  std::string record = to_json(point).dump(-1);
+  if (!points_.empty() && points_.back().first >= point.index) {
+    in_index_order_ = false;
+  }
+  sink_->write((points_.empty() ? "\n" : ",\n") + record);
+  points_.emplace_back(point.index, std::move(record));
   // Re-terminate the document, flush it, then seek the put pointer back
   // over the footer: the bytes on disk always form a complete document,
   // and the next point simply overwrites the footer.
@@ -953,8 +954,22 @@ void DseShardWriter::finish() {
   finished_ = true;
   // The footer is already in the stream past the put pointer — the
   // constructor wrote it for the zero-point state and every add_point
-  // rewrote it; flush the last bytes, then let the sink finalize (atomic
-  // rename for the file-backed writer).
+  // rewrote it.  Points streamed out of index order (a parallel sweep's
+  // completion order, which is what --resume salvages from the temp
+  // file) are rewritten in canonical index order first, so the published
+  // document is the same bytes at any thread count.  The rewrite covers
+  // exactly the bytes it replaces: same records, same separators.
+  if (!in_index_order_) {
+    std::stable_sort(
+        points_.begin(), points_.end(),
+        [](const auto& a, const auto& b) { return a.first < b.first; });
+    sink_->seek(header_end_);
+    for (size_t i = 0; i < points_.size(); ++i) {
+      sink_->write((i == 0 ? "\n" : ",\n") + points_[i].second);
+    }
+  }
+  // Flush the last bytes, then let the sink finalize (atomic rename for
+  // the file-backed writer).
   sink_->flush();
   sink_->commit();
 }

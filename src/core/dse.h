@@ -29,6 +29,7 @@
 #include <memory>
 #include <string>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "arch/node.h"
@@ -357,8 +358,9 @@ void mark_pareto_frontier(std::vector<DsePoint>& points,
 /// stream holds a complete, parseable document from the moment the
 /// writer exists (a zero-point shard while the first point simulates),
 /// and a sweep killed between writes leaves a recoverable shard file
-/// (see tests/test_dse_stream.cpp).  The stream must support
-/// seekp/tellp (files and stringstreams do).
+/// (see tests/test_dse_stream.cpp).  Points stand in completion order
+/// until finish(), which publishes them sorted by canonical index.  The
+/// stream must support seekp/tellp (files and stringstreams do).
 /// Byte sink behind DseShardWriter.  The writer's footer trick needs
 /// random access (seek back over the footer before the next point), so
 /// the interface is a seekable text sink rather than a pure appender.
@@ -428,11 +430,13 @@ class DseShardWriter {
   /// travels in its "index" field) and re-terminates the document.
   void add_point(const DsePoint& point);
 
-  /// Flushes the final state and commits the sink (for the file-backed
-  /// writer: fsync + atomic rename onto the target path).  The document
-  /// is already complete — the constructor and every add_point()
-  /// terminate it.  Called implicitly by the destructor; add_point()
-  /// afterwards throws std::logic_error.
+  /// Publishes the canonical document and commits the sink (for the
+  /// file-backed writer: fsync + atomic rename onto the target path).
+  /// Points that arrived out of index order are first rewritten sorted
+  /// by index, so the published bytes do not depend on completion order
+  /// (thread count); until then the stream — the file-backed writer's
+  /// `.tmp` — keeps completion order.  Called implicitly by the
+  /// destructor; add_point() afterwards throws std::logic_error.
   void finish();
 
   ~DseShardWriter();
@@ -441,7 +445,11 @@ class DseShardWriter {
 
  private:
   std::unique_ptr<ShardSink> sink_;
-  bool any_points_ = false;
+  uint64_t header_end_ = 0;
+  /// (canonical index, serialized point) in arrival order; finish()
+  /// publishes them sorted by index.
+  std::vector<std::pair<size_t, std::string>> points_;
+  bool in_index_order_ = true;
   bool finished_ = false;
 };
 

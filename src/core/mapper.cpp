@@ -163,14 +163,46 @@ std::shared_ptr<const CostMatrix::Entry> CostMatrixCache::find(
   return it->second;
 }
 
+std::shared_ptr<const CostMatrix::Entry> CostMatrixCache::find_or_claim(
+    const Key& key) {
+  std::unique_lock<std::mutex> lock(mutex_);
+  for (;;) {
+    const auto it = entries_.find(key);
+    if (it != entries_.end()) {
+      ++stats_.hits;
+      return it->second;
+    }
+    if (claimed_.insert(key).second) {
+      ++stats_.misses;
+      return nullptr;
+    }
+    settled_.wait(lock);
+  }
+}
+
+void CostMatrixCache::release(const Key& key) {
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (claimed_.erase(key) == 0) return;
+  }
+  settled_.notify_all();
+}
+
 std::shared_ptr<const CostMatrix::Entry> CostMatrixCache::insert(
     const Key& key, CostMatrix::Entry entry) {
   auto stored = std::make_shared<const CostMatrix::Entry>(std::move(entry));
-  std::lock_guard<std::mutex> lock(mutex_);
-  // First writer wins: concurrent writers of one key carry bit-identical
-  // entries (same key => same simulation inputs), so which one lands is
-  // immaterial for determinism.
-  return entries_.try_emplace(key, std::move(stored)).first->second;
+  std::shared_ptr<const CostMatrix::Entry> result;
+  bool was_claimed = false;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    // First writer wins: concurrent writers of one key carry
+    // bit-identical entries (same key => same simulation inputs), so
+    // which one lands is immaterial for determinism.
+    result = entries_.try_emplace(key, std::move(stored)).first->second;
+    was_claimed = claimed_.erase(key) > 0;
+  }
+  if (was_claimed) settled_.notify_all();
+  return result;
 }
 
 CostMatrixCache::Stats CostMatrixCache::stats() const {
@@ -184,9 +216,12 @@ size_t CostMatrixCache::size() const {
 }
 
 void CostMatrixCache::clear() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  entries_.clear();
-  stats_ = Stats{};
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    entries_.clear();
+    stats_ = Stats{};
+  }
+  operand_power_.clear();
 }
 
 // ----------------------------------------------------------------- Mapper

@@ -33,6 +33,7 @@
 // repeated searches over the same architecture — never re-simulate a pair.
 #pragma once
 
+#include <condition_variable>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -40,11 +41,13 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "core/mapping.h"
 #include "core/metrics.h"
 #include "core/report.h"
+#include "energy/operand_power.h"
 #include "util/binio.h"
 #include "workload/gemm.h"
 
@@ -145,12 +148,21 @@ class CostMatrix {
 ///
 /// Thread-safe: find/insert take an internal mutex, so one cache can be
 /// shared by every worker of a DSE sweep (DseOptions::cost_cache) and
-/// across explore() calls.  Insertion is first-writer-wins; since a given
-/// key is always produced by the same instruction sequence, every writer
-/// carries a bit-identical entry and cached results equal uncached ones
-/// exactly.  Keys are compared by their two 64-bit fingerprints only; a
+/// across explore() calls.  The Simulator's fill goes through
+/// find_or_claim(), so concurrent misses of one key simulate it once and
+/// the other threads count a hit.  Insertion is first-writer-wins; since
+/// a given key is always produced by the same instruction sequence, every
+/// writer carries a bit-identical entry and cached results equal uncached
+/// ones exactly.  Keys are compared by their two 64-bit fingerprints only; a
 /// false hit needs a simultaneous collision of both, which is negligible
 /// at any realistic sweep size.
+///
+/// The cache also owns the operand-power memo (energy/operand_power.h)
+/// that every miss shares: a miss re-simulates its pair, but the
+/// data-aware weight walk inside it runs once per (GEMM content, P_pi,
+/// fidelity) for the cache's lifetime.  The memo is filled lazily by
+/// misses, is never persisted, and clear() drops it; its counters are
+/// its own, so stats() reads the same with or without it.
 class CostMatrixCache {
  public:
   struct Key {
@@ -215,14 +227,38 @@ class CostMatrixCache {
   [[nodiscard]] std::shared_ptr<const CostMatrix::Entry> find(
       const Key& key) const;
 
-  /// Stores `entry` under `key` (first writer wins) and returns the
-  /// stored entry.
+  /// Single-flight find for the cost-matrix fill.  Returns the cached
+  /// entry (a hit), or nullptr after claiming `key` (a miss): the caller
+  /// then simulates the pair and settles the claim with insert() or
+  /// release().  A caller finding `key` claimed by another thread waits
+  /// for it to settle: it gets the inserted entry (a hit) or, after a
+  /// release, claims the key itself.  So concurrent misses of one key
+  /// simulate it once, and the hit/miss counts do not depend on thread
+  /// timing.
+  [[nodiscard]] std::shared_ptr<const CostMatrix::Entry> find_or_claim(
+      const Key& key);
+
+  /// Drops a claim without storing an entry (an infeasible pair, or a
+  /// simulation that threw); waiters retry.  No-op when `key` is not
+  /// claimed.
+  void release(const Key& key);
+
+  /// Stores `entry` under `key` (first writer wins), settles a claim on
+  /// `key`, and returns the stored entry.
   std::shared_ptr<const CostMatrix::Entry> insert(const Key& key,
                                                   CostMatrix::Entry entry);
 
   [[nodiscard]] Stats stats() const;
   [[nodiscard]] size_t size() const;
-  void clear();  // drops entries and resets the counters
+  void clear();  // drops entries and the memo, resets the counters
+
+  /// The operand-power memo shared by every miss on this cache.
+  [[nodiscard]] energy::OperandPowerMemo& operand_power() {
+    return operand_power_;
+  }
+  [[nodiscard]] const energy::OperandPowerMemo& operand_power() const {
+    return operand_power_;
+  }
 
  private:
   struct KeyHash {
@@ -235,7 +271,10 @@ class CostMatrixCache {
   mutable std::mutex mutex_;
   std::unordered_map<Key, std::shared_ptr<const CostMatrix::Entry>, KeyHash>
       entries_;
+  std::unordered_set<Key, KeyHash> claimed_;  // being simulated
+  std::condition_variable settled_;           // a claim was settled
   mutable Stats stats_;
+  energy::OperandPowerMemo operand_power_;
 };
 
 /// Everything a Mapper sees.  `costs` is null iff the strategy declared

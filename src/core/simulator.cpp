@@ -165,7 +165,8 @@ Simulator::Simulator(arch::Architecture architecture,
 
 LayerReport Simulator::simulate_one(
     size_t subarch_index, const workload::GemmWorkload& gemm,
-    const memory::MemoryHierarchy& memory) const {
+    const memory::MemoryHierarchy& memory, energy::OperandPowerMemo* memo,
+    uint64_t gemm_key) const {
   const arch::SubArchitecture& subarch =
       architecture_.subarch(subarch_index);
 
@@ -183,7 +184,7 @@ LayerReport Simulator::simulate_one(
   report.energy = energy::compute_energy(
       subarch, gemm, report.dataflow, report.link,
       options_.energy.include_data_movement ? &report.traffic : nullptr,
-      options_.energy);
+      options_.energy, memo, gemm_key);
   return report;
 }
 
@@ -251,7 +252,7 @@ CostMatrix Simulator::build_cost_matrix(
       const CostMatrixCache::Key key{cache ? subarch_keys[s] : 0,
                                      cache ? gemm_keys[g] : 0};
       if (cache != nullptr) {
-        if (auto cached = cache->find(key)) {
+        if (auto cached = cache->find_or_claim(key)) {
           // Hits alias the cache's entry — no deep copy of the
           // LayerReport.  The canonical key excludes identity fields, so
           // the shared entry keeps the donor's; report assembly rewrites
@@ -260,9 +261,23 @@ CostMatrix Simulator::build_cost_matrix(
           continue;
         }
       }
+      // This thread now holds the key's claim; settle it however the
+      // simulation ends, so threads waiting on the key never hang.
+      struct ClaimRelease {
+        CostMatrixCache* cache;
+        const CostMatrixCache::Key& key;
+        ~ClaimRelease() {
+          if (cache != nullptr) cache->release(key);
+        }
+      } claim{cache, key};
       CostMatrix::Entry entry;
       try {
-        entry.report = simulate_one(s, gemms[g], memory);
+        // A miss still walks each weight tensor only once per cache: the
+        // cache's operand-power memo holds the walk under the GEMM's
+        // content key.
+        entry.report = simulate_one(
+            s, gemms[g], memory,
+            cache != nullptr ? &cache->operand_power() : nullptr, key.gemm);
         entry.feasible = true;
       } catch (const std::invalid_argument& e) {
         // The simulator rejects workload/hardware mismatches (e.g. a

@@ -218,9 +218,13 @@ class Simulator {
     Mapping mapping;
   };
 
+  /// `memo` (optional) memoizes the data-aware weight walk under
+  /// `gemm_key`, the content fingerprint of `gemm`.
   [[nodiscard]] LayerReport simulate_one(
       size_t subarch_index, const workload::GemmWorkload& gemm,
-      const memory::MemoryHierarchy& memory) const;
+      const memory::MemoryHierarchy& memory,
+      energy::OperandPowerMemo* memo = nullptr,
+      uint64_t gemm_key = 0) const;
 
   [[nodiscard]] memory::MemoryHierarchy build_shared_memory(
       const std::vector<workload::GemmWorkload>& gemms) const;

@@ -14,9 +14,11 @@ using arch::Role;
 
 /// Mean data-dependent power per weight cell over the actual operand
 /// values (pruned zeros contribute zero power: fine-grained gating).
+/// With a memo, the walk runs once per (gemm_key, P_pi, fidelity).
 double weight_cell_mean_power_mW(const devlib::DeviceParams& dev,
                                  const workload::GemmWorkload& gemm,
-                                 const EnergyOptions& options) {
+                                 const EnergyOptions& options,
+                                 OperandPowerMemo* memo, uint64_t gemm_key) {
   const double p_pi = dev.prop_or("p_pi_mW", dev.static_power_mW);
   if (!options.data_aware ||
       options.fidelity == devlib::PowerFidelity::kDataUnaware ||
@@ -25,9 +27,10 @@ double weight_cell_mean_power_mW(const devlib::DeviceParams& dev,
     // model does not see.
     return p_pi;
   }
-  const auto model = devlib::make_phase_shifter_power(p_pi, options.fidelity);
-  return model->mean_power_mW(
-      std::span<const float>(gemm.weights->data()));
+  const std::span<const float> values(gemm.weights->data());
+  return memo != nullptr
+             ? memo->mean_power_mW(gemm_key, p_pi, options.fidelity, values)
+             : walk_mean_power_mW(p_pi, options.fidelity, values);
 }
 
 }  // namespace
@@ -37,7 +40,8 @@ EnergyBreakdown compute_energy(const arch::SubArchitecture& subarch,
                                const dataflow::DataflowResult& mapped,
                                const arch::LinkBudgetReport& link,
                                const memory::TrafficResult* traffic,
-                               const EnergyOptions& options) {
+                               const EnergyOptions& options,
+                               OperandPowerMemo* memo, uint64_t gemm_key) {
   const arch::ArchParams& p = subarch.params();
   const devlib::DeviceLibrary& lib = subarch.library();
   EnergyBreakdown out;
@@ -104,7 +108,7 @@ EnergyBreakdown compute_energy(const arch::SubArchitecture& subarch,
           // values (pruned zeros draw zero power: implicit gating); the
           // data-unaware reference charges P_pi for every cell.
           const double mean_mW =
-              weight_cell_mean_power_mW(dev, gemm, options);
+              weight_cell_mean_power_mW(dev, gemm, options, memo, gemm_key);
           out.add(spec.category,
                   util::energy_pJ(mean_mW * count, runtime_ns));
         }

@@ -23,6 +23,7 @@
 #include "arch/link_budget.h"
 #include "dataflow/dataflow.h"
 #include "devlib/power_model.h"
+#include "energy/operand_power.h"
 #include "energy/report.h"
 #include "memory/traffic.h"
 #include "workload/gemm.h"
@@ -42,11 +43,15 @@ struct EnergyOptions {
 };
 
 /// Computes the energy breakdown of one mapped GEMM.  `traffic` may be
-/// nullptr when data movement is excluded.
+/// nullptr when data movement is excluded.  With `memo` set, the
+/// data-aware weight-cell walk is looked up under `gemm_key` (the
+/// content fingerprint of `gemm`, core::gemm_fingerprint) and run at most
+/// once per key; the result is bit-identical to the un-memoized walk.
 [[nodiscard]] EnergyBreakdown compute_energy(
     const arch::SubArchitecture& subarch, const workload::GemmWorkload& gemm,
     const dataflow::DataflowResult& mapped,
     const arch::LinkBudgetReport& link,
-    const memory::TrafficResult* traffic, const EnergyOptions& options = {});
+    const memory::TrafficResult* traffic, const EnergyOptions& options = {},
+    OperandPowerMemo* memo = nullptr, uint64_t gemm_key = 0);
 
 }  // namespace simphony::energy

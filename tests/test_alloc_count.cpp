@@ -202,6 +202,27 @@ TEST(AllocCount, MapperScratchStaysOffTheHeapOnceWarm) {
   EXPECT_EQ(util::thread_scratch().heap_blocks(), warm_blocks);
 }
 
+TEST(AllocCount, OperandPowerMemoHitsDoNotAllocate) {
+  // A cost-cache miss at a new design point looks its weight walk up in
+  // the memo; once the walk is stored, the lookup is heap-free.
+  workload::Model model = workload::mlp_mnist();
+  const workload::Tensor& weights = model.layers.front().weights;
+  energy::OperandPowerMemo memo;
+  const double walked = memo.mean_power_mW(
+      42, 20.0, devlib::PowerFidelity::kTabulated, weights.data());
+  double hit = 0.0;
+  const std::uint64_t allocations = count_allocations([&] {
+    for (int i = 0; i < 64; ++i) {
+      hit = memo.mean_power_mW(42, 20.0, devlib::PowerFidelity::kTabulated,
+                               weights.data());
+    }
+  });
+  EXPECT_EQ(allocations, 0u);
+  EXPECT_EQ(hit, walked);
+  EXPECT_EQ(memo.stats().walks, 1u);
+  EXPECT_EQ(memo.stats().hits, 64u);
+}
+
 }  // namespace
 }  // namespace simphony::core
 

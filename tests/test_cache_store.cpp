@@ -22,6 +22,7 @@
 #include <set>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include "arch/prebuilt.h"
@@ -357,6 +358,158 @@ TEST(CacheStore, SimulatorOverReloadedCacheReproducesTheReport) {
   }
   EXPECT_EQ(reloaded.stats().misses, 0u);
   EXPECT_GT(reloaded.stats().hits, 0u);
+}
+
+// ------------------------------------------------ single-flight claims
+
+// find_or_claim: one thread claims a missing key; another asking for it
+// meanwhile gets the claimant's entry and counts a hit, whenever it runs.
+TEST(CostCacheClaims, WaiterGetsTheClaimantsEntryAsAHit) {
+  CostMatrixCache cache;
+  const CostMatrixCache::Key key{7, 9};
+  ASSERT_EQ(cache.find_or_claim(key), nullptr);
+  std::shared_ptr<const CostMatrix::Entry> got;
+  std::thread waiter([&] { got = cache.find_or_claim(key); });
+  (void)cache.insert(key, make_entry(3));
+  waiter.join();
+  ASSERT_NE(got, nullptr);
+  EXPECT_EQ(got->report.layer_name, "fc3");
+  EXPECT_EQ(cache.stats().hits, 1u);
+  EXPECT_EQ(cache.stats().misses, 1u);
+}
+
+// A released claim (infeasible pair, failed simulation) hands the key to
+// the next asker as a fresh miss.
+TEST(CostCacheClaims, ReleasedClaimPassesToTheNextAsker) {
+  CostMatrixCache cache;
+  const CostMatrixCache::Key key{7, 9};
+  ASSERT_EQ(cache.find_or_claim(key), nullptr);
+  auto got = std::make_shared<const CostMatrix::Entry>(make_entry(1));
+  std::thread waiter([&] {
+    got = cache.find_or_claim(key);
+    cache.release(key);
+  });
+  cache.release(key);
+  waiter.join();
+  EXPECT_EQ(got, nullptr);
+  EXPECT_EQ(cache.stats().misses, 2u);
+  EXPECT_EQ(cache.stats().hits, 0u);
+  // Nothing is left claimed: a third asker claims without waiting.
+  EXPECT_EQ(cache.find_or_claim(key), nullptr);
+  cache.release(key);
+}
+
+// ------------------------------------------------- operand-power memo
+
+arch::Architecture scatter_system(int tiles) {
+  arch::ArchParams params;
+  params.tiles = tiles;
+  params.wavelengths = 1;
+  arch::Architecture system("scatter");
+  system.add_subarch(
+      arch::SubArchitecture(arch::scatter_template(), params, g_lib));
+  return system;
+}
+
+double first_layer_energy(const CostMatrix& costs) {
+  EXPECT_TRUE(costs.at(0, 0).feasible);
+  return costs.at(0, 0).report.energy_pJ();
+}
+
+// The memo rides on the cost cache: cost-cache misses at a new design
+// point re-simulate the pair but reuse the weight walk, and the cache's
+// own hit/miss counters (the "cost_cache" JSON section) count cost-cache
+// lookups only.
+TEST(OperandPowerMemo, CostCacheMissesShareOneWalkAcrossPoints) {
+  const workload::Model model = workload::single_gemm_model(64, 32, 32);
+  const std::vector<workload::GemmWorkload> gemms =
+      workload::extract_gemms(model);
+
+  CostMatrixCache cache;
+  SimulationOptions options;
+  options.cost_cache = &cache;
+  const double e1 =
+      first_layer_energy(Simulator(scatter_system(1), options)
+                             .build_cost_matrix(gemms));
+  const uint64_t walks = cache.operand_power().stats().walks;
+  ASSERT_GT(walks, 0u);
+  EXPECT_EQ(cache.stats().hits, 0u);
+  EXPECT_EQ(cache.stats().misses, 1u);
+
+  // A second point misses the cost cache but hits the memo.
+  const double e2 =
+      first_layer_energy(Simulator(scatter_system(2), options)
+                             .build_cost_matrix(gemms));
+  EXPECT_EQ(cache.operand_power().stats().walks, walks);
+  EXPECT_GT(cache.operand_power().stats().hits, 0u);
+  EXPECT_EQ(cache.stats().hits, 0u);
+  EXPECT_EQ(cache.stats().misses, 2u);
+
+  // Bit-identical to simulating without any cache.
+  const SimulationOptions uncached;
+  EXPECT_EQ(e1, first_layer_energy(Simulator(scatter_system(1), uncached)
+                                       .build_cost_matrix(gemms)));
+  EXPECT_EQ(e2, first_layer_energy(Simulator(scatter_system(2), uncached)
+                                       .build_cost_matrix(gemms)));
+
+  // A cost-cache hit never reaches the memo.
+  const energy::OperandPowerMemo::Stats before = cache.operand_power().stats();
+  (void)Simulator(scatter_system(2), options).build_cost_matrix(gemms);
+  EXPECT_EQ(cache.stats().hits, 1u);
+  EXPECT_EQ(cache.stats().misses, 2u);
+  EXPECT_EQ(cache.operand_power().stats().hits, before.hits);
+  EXPECT_EQ(cache.operand_power().stats().misses, before.misses);
+
+  cache.clear();
+  EXPECT_EQ(cache.operand_power().size(), 0u);
+  EXPECT_EQ(cache.operand_power().stats().walks, 0u);
+}
+
+TEST(OperandPowerMemo, EqualShapesWithDifferentWeightsWalkSeparately) {
+  const workload::Model a = workload::single_gemm_model(64, 32, 32, 1);
+  const workload::Model b = workload::single_gemm_model(64, 32, 32, 2);
+  std::vector<workload::GemmWorkload> gemms = workload::extract_gemms(a);
+  gemms.push_back(workload::extract_gemms(b).front());
+  ASSERT_NE(gemms[0].weights->data(), gemms[1].weights->data());
+
+  CostMatrixCache one;
+  SimulationOptions one_options;
+  one_options.cost_cache = &one;
+  (void)Simulator(scatter_system(1), one_options)
+      .build_cost_matrix({gemms[0]});
+
+  CostMatrixCache both;
+  SimulationOptions both_options;
+  both_options.cost_cache = &both;
+  const CostMatrix costs =
+      Simulator(scatter_system(1), both_options).build_cost_matrix(gemms);
+  EXPECT_EQ(both.operand_power().size(), 2 * one.operand_power().size());
+  EXPECT_EQ(both.operand_power().stats().walks,
+            2 * one.operand_power().stats().walks);
+  EXPECT_NE(costs.at(0, 0).report.energy.get("PS"),
+            costs.at(1, 0).report.energy.get("PS"));
+}
+
+// Keys are content fingerprints, never tensor addresses: rewriting a
+// tensor in place (as onn_convert does) must walk the new values.
+TEST(OperandPowerMemo, TensorMutatedAfterAWalkIsWalkedAgain) {
+  workload::Model model = workload::single_gemm_model(64, 32, 32);
+  const std::vector<workload::GemmWorkload> gemms =
+      workload::extract_gemms(model);
+
+  CostMatrixCache cache;
+  SimulationOptions options;
+  options.cost_cache = &cache;
+  const Simulator sim(scatter_system(1), options);
+  const double before = first_layer_energy(sim.build_cost_matrix(gemms));
+  const uint64_t walks = cache.operand_power().stats().walks;
+
+  for (float& w : model.layers.front().weights.data()) w *= 0.5f;
+  const double after = first_layer_energy(sim.build_cost_matrix(gemms));
+  EXPECT_EQ(cache.operand_power().stats().walks, 2 * walks);
+  EXPECT_NE(after, before);
+  EXPECT_EQ(after, first_layer_energy(Simulator(scatter_system(1), {})
+                                          .build_cost_matrix(gemms)));
 }
 
 // ------------------------------------------------------- mutation fuzz

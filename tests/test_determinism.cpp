@@ -5,12 +5,16 @@
 // each writes results to index-addressed slots and never lets scheduling
 // order reach an accumulation.  These tests re-run the same exploration /
 // batch / mapping search across thread counts {1, 2, 4, 8} against the
-// serial run and compare every figure exactly.  A failure here means a
+// serial run and compare every figure exactly; files a sweep publishes
+// (--out shard documents) are compared byte for byte.  A failure here means a
 // scheduling change leaked into result order (e.g. a reduction folded in
 // completion order) — fix the code, never loosen the comparison.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -221,6 +225,97 @@ TEST(Determinism, BatchWithNestedParallelMapperAcrossThreadCounts) {
                 base.models[i].report.total_energy.total_pJ());
       EXPECT_EQ(batch.models[i].report.total_area_mm2(),
                 base.models[i].report.total_area_mm2());
+    }
+  }
+}
+
+TEST(Determinism, CostCacheCountsAcrossThreadCounts) {
+  // Two entries with the same weights race on the same cost-cache keys.
+  // Claims make each key simulate once, so the counters — which the
+  // "cost_cache" JSON sections print — do not depend on timing.
+  WorkloadSet set;
+  set.add(converted(workload::mlp_mnist()), "a");
+  set.add(converted(workload::mlp_mnist()), "b");
+  const GreedyMapper mapper(MappingObjective::kEdp);
+
+  CostMatrixCache::Stats serial;
+  for (const int threads : kThreadCounts) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    CostMatrixCache cache;
+    SimulationOptions sim_options;
+    sim_options.cost_cache = &cache;
+    const Simulator sim(scatter_mzi_system(), sim_options);
+    BatchOptions options;
+    options.num_threads = threads;
+    (void)sim.simulate_batch(set, mapper, options);
+    const CostMatrixCache::Stats stats = cache.stats();
+    if (threads == 1) {
+      serial = stats;
+      EXPECT_GT(stats.hits, 0u);
+    } else {
+      EXPECT_EQ(stats.hits, serial.hits);
+      EXPECT_EQ(stats.misses, serial.misses);
+    }
+  }
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+bool file_exists(const std::string& path) {
+  return static_cast<bool>(std::ifstream(path));
+}
+
+TEST(Determinism, PublishedShardFilesAcrossThreadCounts) {
+  // The --out path: DseShardWriter's durable file sink fed from explore's
+  // completion-order callback.  Workers finish points out of order, so
+  // only finish()'s canonical rewrite makes the published bytes equal.
+  DseSpace space;
+  space.wavelengths = {1, 2, 4};
+  space.tiles = {1, 2, 4};
+  const std::vector<arch::PtcTemplate> templates{
+      arch::scatter_template(), arch::clements_mzi_template()};
+  const workload::Model model = converted(workload::mlp_mnist());
+  const GreedyMapper mapper(MappingObjective::kEdp);
+
+  for (const DseShard shard : {DseShard{0, 1}, DseShard{1, 2}}) {
+    std::string serial_bytes;
+    for (const int threads : kThreadCounts) {
+      SCOPED_TRACE("shard " + std::to_string(shard.index) + "/" +
+                   std::to_string(shard.count) +
+                   " threads=" + std::to_string(threads));
+      const std::string path = ::testing::TempDir() +
+                               "/determinism_shard" +
+                               std::to_string(shard.index) + "_t" +
+                               std::to_string(threads) + ".json";
+      DseShardWriter::Metadata metadata;
+      metadata.arch = "scatter+clements_mzi";
+      metadata.model = model.name;
+      metadata.shard = shard;
+      metadata.total_points = space.size();
+      DseOptions options;
+      options.num_threads = threads;
+      options.mapper = &mapper;
+      options.shard = shard;
+      {
+        DseShardWriter writer(path, metadata);
+        (void)explore(templates, g_lib, model, space, options,
+                      [&](const DsePoint& point) { writer.add_point(point); });
+        writer.finish();
+      }
+      const std::string bytes = read_file(path);
+      EXPECT_FALSE(file_exists(path + ".tmp"));
+      std::remove(path.c_str());
+      ASSERT_FALSE(bytes.empty());
+      if (threads == 1) {
+        serial_bytes = bytes;
+      } else {
+        EXPECT_EQ(bytes, serial_bytes);
+      }
     }
   }
 }

@@ -44,6 +44,7 @@ DseShardWriter::Metadata metadata_for(const DseShard& shard,
 /// before seeking back over it).
 struct StreamedShard {
   DseResult result;
+  std::vector<DsePoint> streamed;      // points as the writer received them
   std::vector<std::string> snapshots;  // snapshots[k] = state after k points
   std::string final_text;
 };
@@ -62,6 +63,7 @@ StreamedShard run_streamed_shard(const DseShard& shard) {
   out.result = explore(arch::tempo_template(), g_lib, model, space, options,
                        [&](const DsePoint& point) {
                          writer.add_point(point);
+                         out.streamed.push_back(point);
                          out.snapshots.push_back(stream.str());
                        });
   writer.finish();
@@ -182,6 +184,30 @@ TEST(DseStream, TornFinalRecordIsAParseErrorNeverACrash) {
     }
   }
   EXPECT_GT(parse_failures, 0u);
+}
+
+// A parallel sweep streams points in completion order; finish() must
+// publish the canonical index-ordered document (the same bytes a serial
+// sweep writes), while the stream up to finish() keeps completion order
+// — the state --resume salvages after a kill.
+TEST(DseStream, FinishPublishesPointsInIndexOrder) {
+  const StreamedShard serial = run_streamed_shard(DseShard{0, 1});
+  ASSERT_EQ(serial.streamed.size(), 4u);
+
+  std::stringstream stream;
+  DseShardWriter writer(stream, metadata_for(DseShard{0, 1}, 4));
+  for (auto it = serial.streamed.rbegin(); it != serial.streamed.rend();
+       ++it) {
+    writer.add_point(*it);
+  }
+  const DseResult streamed =
+      dse_result_from_json(util::Json::parse(stream.str()));
+  ASSERT_EQ(streamed.points.size(), 4u);
+  EXPECT_EQ(streamed.points.front().index, serial.streamed.back().index);
+  EXPECT_EQ(stream.str().size(), serial.final_text.size());
+
+  writer.finish();
+  EXPECT_EQ(stream.str(), serial.final_text);
 }
 
 TEST(DseStream, AddPointAfterFinishThrows) {

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+#include <vector>
+
 #include "arch/prebuilt.h"
+#include "energy/operand_power.h"
+#include "util/rng.h"
 #include "workload/model.h"
 
 namespace simphony::energy {
@@ -29,8 +34,11 @@ struct Ctx {
         memory(memory::build_memory_hierarchy({&sub}, {gemm})),
         traffic(memory::analyze_traffic(sub, gemm, mapped, memory)) {}
 
-  EnergyBreakdown energy(const EnergyOptions& opt = {}) const {
-    return compute_energy(sub, gemm, mapped, link, &traffic, opt);
+  EnergyBreakdown energy(const EnergyOptions& opt = {},
+                         OperandPowerMemo* memo = nullptr,
+                         uint64_t gemm_key = 0) const {
+    return compute_energy(sub, gemm, mapped, link, &traffic, opt, memo,
+                          gemm_key);
   }
 };
 
@@ -164,6 +172,123 @@ TEST(EnergyModel, SoaCountedUnderLaserForLt) {
   const double comb_only =
       ctx.link.total_laser_power_mW * ctx.mapped.runtime_ns;
   EXPECT_GT(e.get("Laser"), comb_only);
+}
+
+// ------------------------------------------------- operand-power memo
+
+constexpr devlib::PowerFidelity kFidelities[] = {
+    devlib::PowerFidelity::kDataUnaware, devlib::PowerFidelity::kAnalytical,
+    devlib::PowerFidelity::kTabulated};
+
+TEST(OperandPowerMemo, MemoizedEnergyIsBitIdenticalToTheWalk) {
+  arch::ArchParams p;
+  p.wavelengths = 1;
+  for (const double prune : {0.0, 0.5}) {
+    Ctx ctx(arch::scatter_template(), p,
+            workload::single_gemm_model(100, 16, 16, 7, prune));
+    for (const devlib::PowerFidelity fidelity : kFidelities) {
+      for (const bool data_aware : {true, false}) {
+        SCOPED_TRACE(devlib::to_string(fidelity) +
+                     " data_aware=" + std::to_string(data_aware) +
+                     " prune=" + std::to_string(prune));
+        EnergyOptions opt;
+        opt.fidelity = fidelity;
+        opt.data_aware = data_aware;
+        const EnergyBreakdown walked = ctx.energy(opt);
+        OperandPowerMemo memo;
+        // First call fills the memo (when the branch walks), second hits.
+        for (int pass = 0; pass < 2; ++pass) {
+          const EnergyBreakdown memoized = ctx.energy(opt, &memo, 0x5eed);
+          EXPECT_EQ(memoized.entries(), walked.entries()) << pass;
+          EXPECT_EQ(memoized.total_pJ(), walked.total_pJ()) << pass;
+        }
+        // Only the data-aware walk consults the memo.
+        const bool walks =
+            data_aware && fidelity != devlib::PowerFidelity::kDataUnaware;
+        EXPECT_EQ(memo.stats().walks, walks ? 1u : 0u);
+        EXPECT_EQ(memo.size(), walks ? 1u : 0u);
+      }
+    }
+  }
+}
+
+TEST(OperandPowerMemo, KeyedOnContentKeyPPiAndFidelity) {
+  util::Rng rng(11);
+  const workload::Tensor a = workload::Tensor::uniform({32, 32}, rng);
+  const workload::Tensor b = workload::Tensor::uniform({32, 32}, rng);
+  OperandPowerMemo memo;
+  const auto tab = devlib::PowerFidelity::kTabulated;
+  const auto lin = devlib::PowerFidelity::kAnalytical;
+  const double va = memo.mean_power_mW(1, 20.0, tab, a.data());
+  const double vb = memo.mean_power_mW(2, 20.0, tab, b.data());
+  EXPECT_EQ(va, walk_mean_power_mW(20.0, tab, a.data()));
+  EXPECT_EQ(vb, walk_mean_power_mW(20.0, tab, b.data()));
+  EXPECT_NE(va, vb);
+  EXPECT_EQ(memo.mean_power_mW(1, 20.0, lin, a.data()),
+            walk_mean_power_mW(20.0, lin, a.data()));
+  EXPECT_EQ(memo.mean_power_mW(1, 10.0, tab, a.data()),
+            walk_mean_power_mW(10.0, tab, a.data()));
+  EXPECT_EQ(memo.stats().walks, 4u);
+  // A repeat of any key is a hit.
+  EXPECT_EQ(memo.mean_power_mW(2, 20.0, tab, b.data()), vb);
+  EXPECT_EQ(memo.stats().hits, 1u);
+  EXPECT_EQ(memo.stats().misses, 4u);
+  EXPECT_EQ(memo.size(), 4u);
+  memo.clear();
+  EXPECT_EQ(memo.size(), 0u);
+  EXPECT_EQ(memo.stats().walks, 0u);
+  EXPECT_EQ(memo.mean_power_mW(2, 20.0, tab, b.data()), vb);
+  EXPECT_EQ(memo.stats().walks, 1u);
+}
+
+// Single flight: however many threads race on the same keys, each key is
+// walked exactly once and every caller gets the walk's own double.
+TEST(OperandPowerMemo, WalksOncePerKeyAtAnyThreadCount) {
+  util::Rng rng(5);
+  std::vector<workload::Tensor> tensors;
+  for (int i = 0; i < 4; ++i) {
+    tensors.push_back(workload::Tensor::uniform({256, 256}, rng));
+  }
+  const devlib::PowerFidelity fidelities[] = {
+      devlib::PowerFidelity::kAnalytical, devlib::PowerFidelity::kTabulated};
+  std::vector<double> expected;
+  for (const devlib::PowerFidelity f : fidelities) {
+    for (const workload::Tensor& t : tensors) {
+      expected.push_back(walk_mean_power_mW(20.0, f, t.data()));
+    }
+  }
+  const size_t keys = expected.size();
+  constexpr int kRounds = 3;
+
+  for (const int threads : {1, 2, 4, 8}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    OperandPowerMemo memo;
+    std::vector<int> mismatches(static_cast<size_t>(threads), 0);
+    std::vector<std::thread> pool;
+    for (int t = 0; t < threads; ++t) {
+      pool.emplace_back([&, t] {
+        for (int round = 0; round < kRounds; ++round) {
+          for (size_t i = 0; i < keys; ++i) {
+            // Every thread starts on the same key: first misses collide.
+            const size_t k = (i + static_cast<size_t>(round)) % keys;
+            const size_t tensor = k % tensors.size();
+            const double got = memo.mean_power_mW(
+                tensor, 20.0, fidelities[k / tensors.size()],
+                tensors[tensor].data());
+            if (got != expected[k]) ++mismatches[static_cast<size_t>(t)];
+          }
+        }
+      });
+    }
+    for (std::thread& th : pool) th.join();
+    for (const int m : mismatches) EXPECT_EQ(m, 0);
+    const OperandPowerMemo::Stats stats = memo.stats();
+    EXPECT_EQ(stats.walks, keys);
+    EXPECT_EQ(memo.size(), keys);
+    EXPECT_EQ(stats.hits + stats.misses,
+              static_cast<uint64_t>(threads) * kRounds * keys);
+    EXPECT_GE(stats.misses, stats.walks);
+  }
 }
 
 class FidelitySweep
