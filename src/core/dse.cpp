@@ -7,7 +7,6 @@
 #include <cstdio>
 #include <cstring>
 #include <limits>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <numeric>
@@ -459,147 +458,61 @@ MetricVector DsePoint::metrics() const {
   return v;
 }
 
-void mark_pareto_frontier(std::vector<DsePoint>& points) {
-  // Non-finite metrics are never on the frontier and do not enter the
-  // sort below: NaN (e.g. parsed back from a shard file's null) breaks
-  // the comparator's strict weak ordering (undefined behavior in
-  // std::sort), and inf must get the same verdict as NaN because
-  // serialization collapses both to null — otherwise a merged shard
-  // file could disagree with the unsharded in-memory run.
-  std::vector<size_t> order;
-  order.reserve(points.size());
-  for (size_t i = 0; i < points.size(); ++i) {
-    DsePoint& p = points[i];
-    if (!std::isfinite(p.energy_pJ) || !std::isfinite(p.latency_ns) ||
-        !std::isfinite(p.area_mm2)) {
-      p.pareto = false;
-    } else {
-      order.push_back(i);
-    }
-  }
-  const size_t n = order.size();
-  if (n == 0) return;
-
-  // Sort indices lexicographically by (energy, latency, area) ascending.
-  // Every point processed before p then has energy <= p's, so p is
-  // dominated iff an earlier point with a *different* objective triple has
-  // latency <= p's and area <= p's (lexicographic order makes at least one
-  // inequality strict).
-  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    const DsePoint& pa = points[a];
-    const DsePoint& pb = points[b];
-    if (pa.energy_pJ != pb.energy_pJ) return pa.energy_pJ < pb.energy_pJ;
-    if (pa.latency_ns != pb.latency_ns) return pa.latency_ns < pb.latency_ns;
-    return pa.area_mm2 < pb.area_mm2;
-  });
-
-  // Staircase of processed non-dominated points: latency -> area, strictly
-  // increasing latency mapped to strictly decreasing area, so the entry
-  // with the largest latency <= L holds the minimum area over all
-  // processed points with latency <= L.
-  std::map<double, double> staircase;
-  size_t i = 0;
-  while (i < n) {
-    const DsePoint& p = points[order[i]];
-    // Points with identical objective triples never dominate each other:
-    // process them as one group so each copy gets the same verdict.
-    size_t j = i;
-    while (j < n) {
-      const DsePoint& q = points[order[j]];
-      if (q.energy_pJ != p.energy_pJ || q.latency_ns != p.latency_ns ||
-          q.area_mm2 != p.area_mm2) {
-        break;
-      }
-      ++j;
-    }
-
-    bool dominated = false;
-    auto it = staircase.upper_bound(p.latency_ns);
-    if (it != staircase.begin() &&
-        std::prev(it)->second <= p.area_mm2) {
-      dominated = true;
-    }
-    for (size_t k = i; k < j; ++k) points[order[k]].pareto = !dominated;
-
-    if (!dominated) {
-      // Entries this point covers (latency >= and area >=) add nothing for
-      // later queries; drop them to keep the staircase monotone.
-      auto at = staircase.lower_bound(p.latency_ns);
-      while (at != staircase.end() && at->second >= p.area_mm2) {
-        at = staircase.erase(at);
-      }
-      staircase.emplace(p.latency_ns, p.area_mm2);
-    }
-    i = j;
-  }
-}
-
 void mark_pareto_frontier(std::vector<DsePoint>& points,
                           const std::vector<Metric>& axes) {
   if (axes.empty()) {
     throw std::invalid_argument("mark_pareto_frontier: empty axis list");
   }
-  // The legacy triple takes the O(n log n) staircase above — its verdicts
-  // (and therefore every legacy document) stay byte-identical.
-  static const std::vector<Metric> kLegacyAxes = {Metric::kEnergy,
-                                                  Metric::kLatency,
-                                                  Metric::kArea};
-  if (axes == kLegacyAxes) {
-    mark_pareto_frontier(points);
-    return;
-  }
-
-  // General axis lists run a quadratic dominance check; sweeps that need
-  // them reference extra metrics (power, p99) and are far from the sizes
-  // where the staircase's asymptotics matter.  Non-finite on any axis
-  // excludes a point outright, matching the legacy rule slot-wise.
-  std::vector<size_t> order;
+  // Gather each point's tuple once.  A non-finite value on any axis keeps
+  // the point off the frontier and out of the sort: NaN (e.g. parsed back
+  // from a shard file's null) breaks the comparator's strict weak
+  // ordering, and inf must get NaN's verdict because serialization
+  // collapses both to null — otherwise a merged shard file could disagree
+  // with the unsharded in-memory run.
+  const size_t d = axes.size();
+  std::vector<double> rows(points.size() * d);  // row-major tuples
+  const auto row = [&](size_t i) { return rows.data() + i * d; };
+  std::vector<size_t> order;  // the finite points
   order.reserve(points.size());
   for (size_t i = 0; i < points.size(); ++i) {
-    DsePoint& p = points[i];
-    bool finite = true;
-    for (Metric axis : axes) {
-      if (!std::isfinite(p.metric(axis))) {
-        finite = false;
-        break;
-      }
+    points[i].pareto = false;
+    double* tuple = row(i);
+    for (size_t k = 0; k < d; ++k) tuple[k] = points[i].metric(axes[k]);
+    if (std::all_of(tuple, tuple + d,
+                    [](double v) { return std::isfinite(v); })) {
+      order.push_back(i);
     }
-    p.pareto = false;
-    if (finite) order.push_back(i);
   }
+  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    return std::lexicographical_compare(row(a), row(a) + d, row(b),
+                                        row(b) + d);
+  });
 
-  for (size_t a : order) {
-    DsePoint& p = points[a];
-    bool dominated = false;
-    for (size_t b : order) {
-      if (a == b) continue;
-      const DsePoint& q = points[b];
-      // q dominates p iff q <= p on every axis and q < p on at least one;
-      // identical tuples never dominate each other, so every copy of a
-      // tuple gets the same verdict.
-      bool all_le = true;
-      bool any_lt = false;
-      for (Metric axis : axes) {
-        const double qv = q.metric(axis);
-        const double pv = p.metric(axis);
-        if (qv > pv) {
-          all_le = false;
-          break;
-        }
-        if (qv < pv) any_lt = true;
-      }
-      if (all_le && any_lt) {
-        dominated = true;
-        break;
-      }
+  // Skyline: every point sorted before p is lexicographically smaller, so
+  // p is dominated iff an earlier point with a different tuple is <= p on
+  // every axis, and by transitivity it suffices to test the points
+  // already accepted onto the frontier.  Identical tuples never dominate
+  // each other, so each run of them shares one verdict.
+  std::vector<size_t> frontier;
+  for (size_t i = 0; i < order.size();) {
+    const double* p = row(order[i]);
+    size_t j = i + 1;
+    while (j < order.size() && std::equal(p, p + d, row(order[j]))) ++j;
+    const bool dominated =
+        std::any_of(frontier.begin(), frontier.end(), [&](size_t f) {
+          const double* q = row(f);
+          // Axis 0 is the sort key, so q[0] <= p[0] already holds.
+          for (size_t k = 1; k < d; ++k) {
+            if (q[k] > p[k]) return false;
+          }
+          return true;
+        });
+    if (!dominated) {
+      frontier.push_back(order[i]);
+      for (size_t k = i; k < j; ++k) points[order[k]].pareto = true;
     }
-    p.pareto = !dominated;
+    i = j;
   }
-}
-
-DseResult merge(std::vector<DseResult> shards) {
-  return merge(std::move(shards),
-               {Metric::kEnergy, Metric::kLatency, Metric::kArea});
 }
 
 DseResult merge(std::vector<DseResult> shards,
@@ -1113,19 +1026,38 @@ DseResult dse_result_from_json(const util::Json& j) {
 
 namespace {
 
-/// The strategy-driven engine loop (DseOptions::strategy != nullptr):
-/// hands the strategy this shard's slice of the canonical point list,
-/// then alternates next_batch() / consume() — deduplicating identical
-/// (params, fidelity) evaluations across batches, evaluating fresh
-/// candidates on the pool — until the strategy is done, and restores
-/// canonical index order over finish().
-DseResult run_strategy_engine(
-    const std::vector<arch::ArchParams>& all_points,
-    const DseOptions& options,
+/// The exploration engine shared by the single-model and batched
+/// overloads.  It validates the shard, builds the canonical point list,
+/// hands the strategy this shard's slice of it (a local OneShotStrategy
+/// when DseOptions::strategy is null), then alternates next_batch() /
+/// consume() — deduplicating identical (params, fidelity) evaluations
+/// across batches, evaluating fresh candidates on the pool — until the
+/// strategy is done, restores canonical index order over finish(), and
+/// marks the frontier.  `evaluate` costs one parameter point at a
+/// requested fidelity (it must be thread-safe; the engine shares it
+/// across workers).
+DseResult run_engine(
+    const DseSpace& space, const DseOptions& options,
     const std::function<void(const DsePoint&)>& progress,
     const std::function<DsePoint(const arch::ArchParams&, FidelityLevel)>&
         evaluate) {
-  ExploreStrategy& strategy = *options.strategy;
+  if (options.shard.count < 1 || options.shard.index < 0 ||
+      options.shard.index >= options.shard.count) {
+    throw std::invalid_argument(
+        "invalid DSE shard " + std::to_string(options.shard.index) + "/" +
+        std::to_string(options.shard.count) +
+        " (need count >= 1 and 0 <= index < count)");
+  }
+  const std::vector<arch::ArchParams> all_points =
+      options.sampler != nullptr ? options.sampler->sample(space)
+                                 : space.enumerate();
+  OneShotStrategy one_shot;
+  ExploreStrategy& strategy =
+      options.strategy != nullptr ? *options.strategy : one_shot;
+
+  // This process's slice: canonical indices congruent to the shard index
+  // modulo the shard count (round-robin, so shards stay load-balanced
+  // even when cost grows along the grid).
   ExploreStrategy::Context context;
   context.total_points = all_points.size();
   context.skip_indices = options.skip_indices;
@@ -1151,11 +1083,13 @@ DseResult run_strategy_engine(
   std::mutex progress_mutex;
   size_t completed = skipped;
   size_t scheduled = skipped;
-  // Milestones work as in the one-shot path, except the denominator is
-  // the evaluations scheduled so far (a strategy's total work is not
-  // known up front), so every batch boundary lands a callback.  The
-  // positional `progress` hook is the result stream (--out shard files):
-  // only full-fidelity completions reach it — low-fidelity probes are
+  // Milestones: every Nth completion plus the last evaluation scheduled
+  // so far (a strategy's total work is not known up front, so every batch
+  // boundary lands a callback; the one-shot batch ends exactly once, at
+  // the slice size).  Skipped (resumed) indices count as completed up
+  // front, so a resumed sweep reports its true position.  The positional
+  // `progress` hook is the result stream (--out shard files): only
+  // full-fidelity completions reach it — low-fidelity probes are
   // engine-internal and never part of the result.
   auto report_progress = [&](const DsePoint& point, FidelityLevel fidelity) {
     if (!progress && !options.on_progress &&
@@ -1199,6 +1133,9 @@ DseResult run_strategy_engine(
         strategy.next_batch();
     if (batch.empty()) break;
 
+    // Grow the store once per batch: doubling past a large one-shot batch
+    // would leave up to twice its points' worth of idle capacity.
+    store.reserve(store.size() + batch.size());
     std::vector<size_t> slot_of(batch.size());
     std::vector<size_t> fresh_slot;       // store slots to fill this batch
     std::vector<size_t> fresh_candidate;  // batch positions owning them
@@ -1221,6 +1158,17 @@ DseResult run_strategy_engine(
       scheduled += batch.size();
     }
 
+    // Evaluate the fresh candidates with one chunked parallel_for (the
+    // caller participates; workers steal chunks as their own run dry).
+    // Results land in indexed slots, so the assembled order below is the
+    // batch order no matter which participant finishes first; a given
+    // point runs the same instruction sequence on any thread, so results
+    // are bit-identical across thread counts.  workers_for clamps the
+    // pool to the work, resolves 0 to the hardware thread count, runs 1
+    // inline, and rejects negative requests.  One failed point fails the
+    // whole sweep: no new chunks are claimed after a throw (a throwing
+    // progress callback also aborts) and the lowest failing point's
+    // exception reaches the caller.
     const unsigned pool_threads = util::ThreadPool::workers_for(
         options.num_threads, fresh_candidate.size());
     {
@@ -1255,143 +1203,6 @@ DseResult run_strategy_engine(
   std::stable_sort(
       result.points.begin(), result.points.end(),
       [](const DsePoint& a, const DsePoint& b) { return a.index < b.index; });
-  mark_pareto_frontier(result.points, pareto_axes(options.objective));
-  return result;
-}
-
-/// The exploration engine shared by the single-model and batched
-/// overloads: canonical point list, shard slicing, duplicate-point
-/// dedup, pooled evaluation with indexed writes, progress accounting,
-/// assembly in canonical order, frontier marking.  `evaluate` costs one
-/// parameter point at a requested fidelity (it must be thread-safe; the
-/// engine shares it across workers).  With DseOptions::strategy set the
-/// strategy loop above drives the evaluations instead.
-DseResult run_engine(
-    const DseSpace& space, const DseOptions& options,
-    const std::function<void(const DsePoint&)>& progress,
-    const std::function<DsePoint(const arch::ArchParams&, FidelityLevel)>&
-        evaluate) {
-  if (options.shard.count < 1 || options.shard.index < 0 ||
-      options.shard.index >= options.shard.count) {
-    throw std::invalid_argument(
-        "invalid DSE shard " + std::to_string(options.shard.index) + "/" +
-        std::to_string(options.shard.count) +
-        " (need count >= 1 and 0 <= index < count)");
-  }
-  const std::vector<arch::ArchParams> all_points =
-      options.sampler != nullptr ? options.sampler->sample(space)
-                                 : space.enumerate();
-  if (options.strategy != nullptr) {
-    return run_strategy_engine(all_points, options, progress, evaluate);
-  }
-  // This process's slice: canonical indices congruent to the shard index
-  // modulo the shard count (round-robin, so shards stay load-balanced
-  // even when cost grows along the grid).
-  std::vector<arch::ArchParams> grid;
-  std::vector<size_t> canonical;
-  grid.reserve(all_points.size() / static_cast<size_t>(options.shard.count) +
-               1);
-  size_t skipped = 0;
-  for (size_t g = static_cast<size_t>(options.shard.index);
-       g < all_points.size(); g += static_cast<size_t>(options.shard.count)) {
-    // Resume: indices already recovered from an interrupted run are not
-    // re-evaluated; the caller merges the recovered points back in.
-    if (options.skip_indices != nullptr &&
-        options.skip_indices->count(g) != 0) {
-      ++skipped;
-      continue;
-    }
-    grid.push_back(all_points[g]);
-    canonical.push_back(g);
-  }
-
-  // Collapse duplicate parameter points: eval_of[g] is the slot in
-  // `evaluated` holding grid point g's result; only the first occurrence
-  // of each distinct ArchParams is actually simulated.
-  std::vector<size_t> eval_of(grid.size());
-  std::vector<size_t> unique_grid_index;
-  if (options.cache) {
-    std::unordered_map<arch::ArchParams, size_t, ArchParamsHash> slot_of_params;
-    slot_of_params.reserve(grid.size());
-    for (size_t g = 0; g < grid.size(); ++g) {
-      const auto [it, inserted] =
-          slot_of_params.try_emplace(grid[g], unique_grid_index.size());
-      if (inserted) unique_grid_index.push_back(g);
-      eval_of[g] = it->second;
-    }
-  } else {
-    unique_grid_index.resize(grid.size());
-    std::iota(unique_grid_index.begin(), unique_grid_index.end(), size_t{0});
-    std::iota(eval_of.begin(), eval_of.end(), size_t{0});
-  }
-
-  // More workers than unique points would just be idle threads (or a
-  // resource-exhaustion failure for absurd requests): workers_for clamps,
-  // resolves 0 to the hardware thread count, maps 1 (and a clamp to 1) to
-  // inline execution, and rejects negative requests.
-  const unsigned pool_threads = util::ThreadPool::workers_for(
-      options.num_threads, unique_grid_index.size());
-  const size_t progress_every =
-      static_cast<size_t>(std::max(1, options.progress_every));
-
-  // Skipped (resumed) indices count as completed up front: their results
-  // already exist, so progress keeps the monotone completed/n_total
-  // invariant and the final callback lands at n_total instead of a
-  // stuck-looking fraction of it.
-  const size_t n_total = grid.size() + skipped;
-  std::mutex progress_mutex;
-  size_t completed = skipped;
-  auto report_progress = [&](const DsePoint& point) {
-    if (!progress && !options.on_progress &&
-        !options.CommonOptions::on_progress) {
-      return;
-    }
-    std::lock_guard<std::mutex> lock(progress_mutex);
-    ++completed;
-    // Milestones: every Nth completion plus — exactly once, since the
-    // mutex makes `completed` monotone — the final point of the shard.
-    if (completed % progress_every != 0 && completed != n_total) return;
-    if (progress) progress(point);
-    if (options.on_progress) {
-      options.on_progress(DseProgress{{completed, n_total}, &point});
-    }
-    if (options.CommonOptions::on_progress) {
-      options.CommonOptions::on_progress(Progress{completed, n_total});
-    }
-  };
-
-  // Evaluate the unique points with one chunked parallel_for (the caller
-  // participates; workers steal chunks of points as their own run dry).
-  // Results are written to indexed slots, so the assembled order below is
-  // the grid order no matter which participant finishes first; a given
-  // point runs the same instruction sequence on any thread, so results
-  // are bit-identical across thread counts.  One failed point fails the
-  // whole sweep: no new chunks are claimed after a throw (a throwing
-  // progress callback also aborts) and the lowest failing point's
-  // exception reaches the caller.
-  std::vector<DsePoint> evaluated(unique_grid_index.size());
-  {
-    util::ThreadPool pool(pool_threads);
-    pool.parallel_for(unique_grid_index.size(), [&](size_t u) {
-      evaluated[u] = evaluate(grid[unique_grid_index[u]], FidelityLevel::kFull);
-      evaluated[u].index = canonical[unique_grid_index[u]];
-      report_progress(evaluated[u]);
-    });
-  }
-
-  DseResult result;
-  result.points.reserve(grid.size());
-  for (size_t g = 0; g < grid.size(); ++g) {
-    result.points.push_back(evaluated[eval_of[g]]);
-    result.points.back().index = canonical[g];
-    // Cache hits complete here, not on a worker; count them for progress
-    // so callers see every grid point exactly once and the final callback
-    // lands at completed == n_total.
-    if (options.cache && unique_grid_index[eval_of[g]] != g) {
-      report_progress(result.points.back());
-    }
-  }
-
   mark_pareto_frontier(result.points, pareto_axes(options.objective));
   return result;
 }

@@ -224,13 +224,12 @@ struct DseOptions : CommonOptions {
   /// owned; nullptr skips nothing.
   const std::unordered_set<size_t>* skip_indices = nullptr;
 
-  /// Optional exploration strategy (core/strategy.h): when set, explore()
-  /// runs the propose-evaluate-consume loop the strategy drives
-  /// (successive halving, frontier refinement, ...) instead of the
-  /// one-shot evaluate-everything pass.  Strategies are stateful and
-  /// single-use — construct a fresh one per explore() call.  Not owned.
-  /// nullptr keeps the legacy one-shot engine, byte-identical to the
-  /// pre-strategy code.
+  /// Optional exploration strategy (core/strategy.h): the schedule the
+  /// engine's one propose-evaluate-consume driver follows (successive
+  /// halving, frontier refinement, ...).  nullptr runs a local
+  /// OneShotStrategy — every slice point at full fidelity in one batch.
+  /// Strategies are stateful and single-use — construct a fresh one per
+  /// explore() call.  Not owned.
   ExploreStrategy* strategy = nullptr;
 
   /// The cheap evaluator behind FidelityLevel::kLow — typically a
@@ -312,40 +311,38 @@ struct DsePoint {
 struct DseResult {
   std::vector<DsePoint> points;
 
-  /// Points on the (energy, latency, area) Pareto frontier.
+  /// Points flagged on the Pareto frontier.
   [[nodiscard]] std::vector<DsePoint> frontier() const;
 
   /// The minimum-EDAP point; throws std::runtime_error if empty.
   [[nodiscard]] const DsePoint& best_edap() const;
 };
 
-/// Sets the `pareto` flag of every point that is non-dominated in
-/// (energy_pJ, latency_ns, area_mm2), minimizing all three.  Runs in
-/// O(n log n): sort by energy, then sweep a latency->min-area staircase.
-void mark_pareto_frontier(std::vector<DsePoint>& points);
-
-/// Frontier over a configurable axis list (pareto_axes of the sweep's
-/// objective): the legacy (energy, latency, area) triple runs the
-/// staircase sweep above byte-identically; any other list runs an O(n^2)
-/// dominance check minimizing every axis.  Points with a non-finite
-/// value on any axis are never on the frontier (the legacy rule extended
-/// slot-wise); identical tuples share one verdict.  Throws
+/// Sets the `pareto` flag of every point that is non-dominated over
+/// `axes` (pareto_axes of the sweep's objective; by default the
+/// (energy_pJ, latency_ns, area_mm2) triple), minimizing every axis.  A
+/// sort-then-filter skyline: points with a non-finite value on any axis
+/// are never on the frontier, the rest are sorted lexicographically on
+/// the axes, and each run of identical tuples is marked dominated iff an
+/// already-accepted frontier point is <= it on every axis — O(n log n +
+/// n * |frontier|).  Identical tuples share one verdict.  Throws
 /// std::invalid_argument on an empty axis list.
 void mark_pareto_frontier(std::vector<DsePoint>& points,
-                          const std::vector<Metric>& axes);
+                          const std::vector<Metric>& axes = {
+                              Metric::kEnergy, Metric::kLatency,
+                              Metric::kArea});
 
 /// Recombines shard results: concatenates all points, restores canonical
 /// order by DsePoint::index, and re-runs mark_pareto_frontier over the
-/// union (the staircase sweep composes).  Merging every shard of an
-/// explore() yields a result bit-identical to the unsharded run.  Throws
+/// union with `axes` (the sweep's pareto_axes).  The frontier depends
+/// only on the set of tuples, so merging every shard of an explore()
+/// yields a result bit-identical to the unsharded run.  Throws
 /// std::invalid_argument when two points carry the same index
 /// (overlapping shards).
-[[nodiscard]] DseResult merge(std::vector<DseResult> shards);
-
-/// merge() with the frontier recomputed over explicit axes (the sweep's
-/// pareto_axes); the single-argument overload is the legacy-triple case.
 [[nodiscard]] DseResult merge(std::vector<DseResult> shards,
-                              const std::vector<Metric>& axes);
+                              const std::vector<Metric>& axes = {
+                                  Metric::kEnergy, Metric::kLatency,
+                                  Metric::kArea});
 
 /// Streams completed DsePoints to an output stream as a canonical shard
 /// document (the format `--out` writes and `--merge` reads):

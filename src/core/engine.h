@@ -219,8 +219,8 @@ struct ResolvedModels {
     const ExploreRequest& request);
 
 /// The exploration strategy a request asks for; nullptr for "one-shot"
-/// (the legacy engine).  Throws on an unknown strategy name, halving
-/// parameters out of range (eta >= 2, rungs >= 1), a non-positive
+/// (explore()'s default schedule).  Throws on an unknown strategy name,
+/// halving parameters out of range (eta >= 2, rungs >= 1), a non-positive
 /// refine_rounds, or "frontier" combined with sharding (refined points
 /// fall outside the canonical point list, so shards cannot merge).
 /// Strategies are stateful and single-use: make a fresh one per

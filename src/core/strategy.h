@@ -107,9 +107,9 @@ class ExploreStrategy {
 };
 
 /// Evaluates every slice point at full fidelity in one batch — the
-/// strategy spelling of the legacy engine, bit-identical to explore()
-/// with DseOptions::strategy == nullptr (tests/test_strategy.cpp pins
-/// this across samplers, mappers, and thread counts).
+/// schedule explore() runs when DseOptions::strategy is nullptr
+/// (tests/test_strategy.cpp pins its documents against recorded goldens
+/// across samplers, mappers, and thread counts).
 class OneShotStrategy final : public ExploreStrategy {
  public:
   [[nodiscard]] std::string name() const override { return "one-shot"; }

@@ -4,7 +4,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <mutex>
+#include <stdexcept>
+#include <string>
 #include <unordered_set>
 
 #include "arch/prebuilt.h"
@@ -524,63 +527,164 @@ TEST(Dse, SerialSweepStopsEvaluatingAfterAFailure) {
 
 // ----------------------------------------------------------------- Pareto
 
-bool dominates(const DsePoint& a, const DsePoint& b) {
-  return a.energy_pJ <= b.energy_pJ && a.latency_ns <= b.latency_ns &&
-         a.area_mm2 <= b.area_mm2 &&
-         (a.energy_pJ < b.energy_pJ || a.latency_ns < b.latency_ns ||
-          a.area_mm2 < b.area_mm2);
+const std::vector<Metric> kTriple = {Metric::kEnergy, Metric::kLatency,
+                                     Metric::kArea};
+const std::vector<Metric> kWithPower = {Metric::kEnergy, Metric::kLatency,
+                                        Metric::kArea, Metric::kPower};
+const std::vector<Metric> kWithPowerP99 = {
+    Metric::kEnergy, Metric::kLatency, Metric::kArea, Metric::kPower,
+    Metric::kP99Latency};
+
+/// The axis lists a sweep can mark over (pareto_axes yields the last
+/// three), plus one- and two-axis lists for the skyline's edge cases.
+const std::vector<std::vector<Metric>> kAxisLists = {
+    {Metric::kEnergy},
+    {Metric::kEnergy, Metric::kLatency},
+    kTriple,
+    kWithPower,
+    kWithPowerP99};
+
+bool finite_on(const DsePoint& p, const std::vector<Metric>& axes) {
+  return std::all_of(axes.begin(), axes.end(), [&](Metric axis) {
+    return std::isfinite(p.metric(axis));
+  });
 }
 
-std::vector<bool> brute_force_pareto(const std::vector<DsePoint>& points) {
-  std::vector<bool> flags(points.size(), true);
+bool dominates(const DsePoint& a, const DsePoint& b,
+               const std::vector<Metric>& axes) {
+  bool strictly = false;
+  for (Metric axis : axes) {
+    if (a.metric(axis) > b.metric(axis)) return false;
+    if (a.metric(axis) < b.metric(axis)) strictly = true;
+  }
+  return strictly;
+}
+
+/// The definition, checked pair by pair: a point is on the frontier iff
+/// it is finite on every axis and no finite point dominates it.
+std::vector<bool> brute_force_pareto(const std::vector<DsePoint>& points,
+                                     const std::vector<Metric>& axes) {
+  std::vector<bool> flags(points.size());
   for (size_t i = 0; i < points.size(); ++i) {
-    for (const auto& other : points) {
-      if (dominates(other, points[i])) {
-        flags[i] = false;
-        break;
-      }
-    }
+    flags[i] = finite_on(points[i], axes) &&
+               std::none_of(points.begin(), points.end(),
+                            [&](const DsePoint& other) {
+                              return finite_on(other, axes) &&
+                                     dominates(other, points[i], axes);
+                            });
   }
   return flags;
+}
+
+template <typename Draw>
+std::vector<DsePoint> cloud(size_t n, Draw draw) {
+  std::vector<DsePoint> points(n);
+  for (auto& p : points) {
+    p.energy_pJ = draw();
+    p.latency_ns = draw();
+    p.area_mm2 = draw();
+    p.power_W = draw();
+    p.p99_latency_ns = draw();
+  }
+  return points;
+}
+
+void expect_brute_force_verdicts(std::vector<DsePoint> points,
+                                 const std::vector<Metric>& axes,
+                                 const std::string& label) {
+  mark_pareto_frontier(points, axes);
+  const std::vector<bool> expected = brute_force_pareto(points, axes);
+  for (size_t i = 0; i < points.size(); ++i) {
+    ASSERT_EQ(points[i].pareto, expected[i])
+        << label << " axes=" << axes.size() << " i=" << i << " ("
+        << points[i].energy_pJ << "," << points[i].latency_ns << ","
+        << points[i].area_mm2 << "," << points[i].power_W << ","
+        << points[i].p99_latency_ns << ")";
+  }
 }
 
 TEST(Dse, ParetoSweepMatchesBruteForceOnRandomPoints) {
   util::Rng rng(123);
   for (size_t n : {0u, 1u, 2u, 3u, 50u, 300u}) {
-    std::vector<DsePoint> points(n);
-    for (auto& p : points) {
-      p.energy_pJ = rng.uniform(0.0, 100.0);
-      p.latency_ns = rng.uniform(0.0, 100.0);
-      p.area_mm2 = rng.uniform(0.0, 100.0);
-    }
-    mark_pareto_frontier(points);
-    const std::vector<bool> expected = brute_force_pareto(points);
-    for (size_t i = 0; i < n; ++i) {
-      EXPECT_EQ(points[i].pareto, expected[i]) << "n=" << n << " i=" << i;
+    const std::vector<DsePoint> points =
+        cloud(n, [&] { return rng.uniform(0.0, 100.0); });
+    for (const auto& axes : kAxisLists) {
+      expect_brute_force_verdicts(points, axes, "n=" + std::to_string(n));
     }
   }
 }
 
 TEST(Dse, ParetoSweepMatchesBruteForceWithTiesAndDuplicates) {
   // A coarse value alphabet forces equal coordinates, equal pairs, and
-  // exact duplicate triples — the tie-handling corner cases of the sweep.
+  // exact duplicate tuples — the tie-handling corner cases of the sweep.
   util::Rng rng(321);
   for (int round = 0; round < 20; ++round) {
-    std::vector<DsePoint> points(120);
-    for (auto& p : points) {
-      p.energy_pJ = static_cast<double>(rng.uniform_int(0, 3));
-      p.latency_ns = static_cast<double>(rng.uniform_int(0, 3));
-      p.area_mm2 = static_cast<double>(rng.uniform_int(0, 3));
-    }
-    mark_pareto_frontier(points);
-    const std::vector<bool> expected = brute_force_pareto(points);
-    for (size_t i = 0; i < points.size(); ++i) {
-      ASSERT_EQ(points[i].pareto, expected[i])
-          << "round=" << round << " i=" << i << " ("
-          << points[i].energy_pJ << "," << points[i].latency_ns << ","
-          << points[i].area_mm2 << ")";
+    const std::vector<DsePoint> points = cloud(120, [&] {
+      return static_cast<double>(rng.uniform_int(0, 3));
+    });
+    for (const auto& axes : kAxisLists) {
+      expect_brute_force_verdicts(points, axes,
+                                  "round=" + std::to_string(round));
     }
   }
+}
+
+TEST(Dse, ParetoSweepKeepsAnAntiCorrelatedCloudWhole) {
+  // Energy rising exactly as latency falls: no point dominates another,
+  // so every point is on the frontier — the skyline's worst case, where
+  // each point is tested against all accepted before it.
+  util::Rng rng(77);
+  std::vector<DsePoint> points =
+      cloud(400, [&] { return rng.uniform(0.0, 100.0); });
+  for (size_t i = 0; i < points.size(); ++i) {
+    points[i].energy_pJ = static_cast<double>((i * 7) % points.size());
+    points[i].latency_ns = 1000.0 - points[i].energy_pJ;
+  }
+  const std::vector<Metric> axes = {Metric::kEnergy, Metric::kLatency};
+  expect_brute_force_verdicts(points, axes, "anti-correlated");
+  mark_pareto_frontier(points, axes);
+  for (const DsePoint& p : points) EXPECT_TRUE(p.pareto);
+}
+
+TEST(Dse, ParetoNonFiniteOnAnExtraAxisOnlyExcludesThePoint) {
+  // Point 0 dominates everything on the triple, but carries NaN power or
+  // inf p99: it leads the triple's frontier and is off every list that
+  // reaches its non-finite axis, where the others are judged without it.
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    std::vector<DsePoint> points(3);
+    for (size_t i = 0; i < points.size(); ++i) {
+      points[i].energy_pJ = points[i].latency_ns = points[i].area_mm2 =
+          1.0 + static_cast<double>(i);
+      points[i].power_W = 3.0 - static_cast<double>(i);
+      points[i].p99_latency_ns = 1.0;
+    }
+    points[0].power_W = bad;
+    mark_pareto_frontier(points, kTriple);
+    EXPECT_TRUE(points[0].pareto);
+    EXPECT_FALSE(points[1].pareto);
+    EXPECT_FALSE(points[2].pareto);
+    mark_pareto_frontier(points, kWithPower);
+    EXPECT_FALSE(points[0].pareto);
+    EXPECT_TRUE(points[1].pareto);
+    EXPECT_TRUE(points[2].pareto);
+    expect_brute_force_verdicts(points, kWithPower, "bad power");
+
+    points[0].power_W = 0.5;
+    points[0].p99_latency_ns = bad;
+    mark_pareto_frontier(points, kWithPower);
+    EXPECT_TRUE(points[0].pareto);
+    mark_pareto_frontier(points, kWithPowerP99);
+    EXPECT_FALSE(points[0].pareto);
+    EXPECT_TRUE(points[1].pareto);
+    expect_brute_force_verdicts(points, kWithPowerP99, "bad p99");
+  }
+}
+
+TEST(Dse, ParetoRejectsAnEmptyAxisList) {
+  std::vector<DsePoint> points(2);
+  EXPECT_THROW(mark_pareto_frontier(points, {}), std::invalid_argument);
+  EXPECT_THROW((void)merge({}, {}), std::invalid_argument);
 }
 
 TEST(Dse, ParetoSweepResetsStaleFlags) {

@@ -1,5 +1,5 @@
 // Pluggable exploration strategies (core/strategy.h): the one-shot
-// strategy's bit-identity against the legacy engine across samplers,
+// schedule's byte-identity against recorded goldens across samplers,
 // mappers, and thread counts; successive halving's determinism, its
 // frontier-best-per-objective recovery at a bounded full-fidelity
 // budget, sharding, and resume; frontier refinement; the interleaved
@@ -11,8 +11,10 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <fstream>
 #include <memory>
 #include <set>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -87,37 +89,53 @@ TEST(Strategy, ConstructorsValidateTheirKnobs) {
   EXPECT_THROW(InterleavedStrategy({}), std::invalid_argument);
 }
 
-// -------------------------------------------- one-shot == legacy engine
+// ------------------------------------------ one-shot == recorded goldens
 
-TEST(Strategy, OneShotMatchesLegacyEngineAcrossSamplersMappersThreads) {
+std::string read_golden(const std::string& name) {
+  std::ifstream in(std::string(SIMPHONY_ONE_SHOT_GOLDEN_DIR) + "/" + name,
+                   std::ios::binary);
+  std::ostringstream bytes;
+  bytes << in.rdbuf();
+  return bytes.str();
+}
+
+TEST(Strategy, OneShotMatchesRecordedGoldensAcrossSamplersMappersThreads) {
+  // tests/golden/one_shot/<mapper>_<sampler>.json hold the
+  // to_json(DseResult) bytes of the dedicated one-shot loop explore()
+  // ran before every sweep went through the strategy driver.  Default
+  // options (no strategy) and an explicit OneShotStrategy must both
+  // still reproduce them at every thread count.
   const DseSpace space = small_space();
   const workload::Model model = workload::mlp_mnist();
   const GreedyMapper greedy;
   const BeamMapper beam(4);
   const RandomSampler random(10, 42);
   const LatinHypercubeSampler lhs(6, 7);
-  const std::vector<std::pair<const char*, const Mapper*>> mappers = {
+  const std::vector<std::pair<std::string, const Mapper*>> mappers = {
       {"none", nullptr}, {"greedy", &greedy}, {"beam", &beam}};
-  const std::vector<std::pair<const char*, const DseSampler*>> samplers = {
+  const std::vector<std::pair<std::string, const DseSampler*>> samplers = {
       {"grid", nullptr}, {"random", &random}, {"lhs", &lhs}};
   for (const auto& [mapper_name, mapper] : mappers) {
     for (const auto& [sampler_name, sampler] : samplers) {
+      const std::string golden = mapper_name + "_" + sampler_name + ".json";
+      const std::string expected = read_golden(golden);
+      ASSERT_FALSE(expected.empty()) << golden;
       for (int threads : {1, 2, 4}) {
-        DseOptions legacy;
-        legacy.num_threads = threads;
-        legacy.mapper = mapper;
-        legacy.sampler = sampler;
-        const DseResult expected =
-            explore(arch::tempo_template(), g_lib, model, space, legacy);
+        SCOPED_TRACE(golden + " threads=" + std::to_string(threads));
+        DseOptions defaults;
+        defaults.num_threads = threads;
+        defaults.mapper = mapper;
+        defaults.sampler = sampler;
+        const DseResult by_default =
+            explore(arch::tempo_template(), g_lib, model, space, defaults);
+        EXPECT_EQ(to_json(by_default).dump() + "\n", expected);
 
         OneShotStrategy one_shot;
-        DseOptions strategic = legacy;
+        DseOptions strategic = defaults;
         strategic.strategy = &one_shot;
         const DseResult actual =
             explore(arch::tempo_template(), g_lib, model, space, strategic);
-        SCOPED_TRACE(std::string(mapper_name) + "/" + sampler_name +
-                     "/threads=" + std::to_string(threads));
-        expect_bit_identical(actual, expected);
+        EXPECT_EQ(to_json(actual).dump() + "\n", expected);
         for (const DsePoint& pt : actual.points) EXPECT_EQ(pt.rung, -1);
       }
     }
