@@ -98,14 +98,15 @@
 #include <cmath>
 #include <fstream>
 #include <iostream>
-#include <map>
 #include <memory>
+#include <optional>
 #include <sstream>
-#include <unordered_set>
+#include <utility>
 
 #include "arch/description.h"
 #include "core/dse.h"
 #include "core/engine.h"
+#include "util/binio.h"
 #include "util/flags.h"
 #include "util/signals.h"
 #include "util/table.h"
@@ -258,34 +259,6 @@ core::DseShard parse_shard(const std::string& spec) {
   return shard;
 }
 
-/// The canonical DSE result document: metadata + the point list.  The
-/// --json output of an unsharded run and the --merge of its shards render
-/// this identically, so the two can be diff'd byte for byte.  (The
-/// non-merge DSE path renders the same document through
-/// core::ExploreResponse::to_json.)
-util::Json result_root(const std::string& model_name,
-                       const std::string& arch_label,
-                       const std::string& sampler_name,
-                       const std::string& aggregate, size_t total_points,
-                       const core::DseShard& shard,
-                       const core::DseResult& result) {
-  util::Json root = core::to_json(result);
-  root["model"] = model_name;
-  root["arch"] = arch_label;
-  root["sampler"] = sampler_name;
-  // Batched sweeps carry their aggregate mode; single-model documents
-  // omit the field (pre-batch byte-compatibility).
-  if (!aggregate.empty()) root["aggregate"] = aggregate;
-  root["total_points"] = total_points;
-  if (shard.count > 1) {
-    util::Json shard_json;
-    shard_json["index"] = shard.index;
-    shard_json["count"] = shard.count;
-    root["shard"] = std::move(shard_json);
-  }
-  return root;
-}
-
 std::string read_file(const std::string& path) {
   std::ifstream f(path);
   if (!f) throw std::invalid_argument("cannot open " + path);
@@ -294,13 +267,7 @@ std::string read_file(const std::string& path) {
   return buf.str();
 }
 
-bool file_exists(const std::string& path) {
-  return static_cast<bool>(std::ifstream(path));
-}
-
-/// Json::parse with the file name prepended to the error — the parser's
-/// bare "JSON parse error at offset N" is useless across many shard
-/// files.
+/// Json::parse with the file name prepended to the error.
 util::Json parse_json_file(const std::string& path) {
   const std::string text = read_file(path);
   try {
@@ -310,156 +277,35 @@ util::Json parse_json_file(const std::string& path) {
   }
 }
 
-std::string metadata_string(const util::Json& root, const std::string& key,
-                            const std::string& fallback) {
-  return root.contains(key) ? root.at(key).as_string() : fallback;
-}
-
-/// One comparable label for a result document's exploration strategy:
-/// "one-shot" when absent (pre-strategy files), else the name with its
-/// knobs ("halving eta=3 rungs=2").  Shard headers and --json responses
-/// spell the same strategy identically here, so mixed-source merges
-/// still compare.
-std::string strategy_label_of(const util::Json& root) {
-  if (!root.contains("strategy")) return "one-shot";
-  const util::Json& s = root.at("strategy");
-  std::string label = s.at("name").as_string();
-  if (s.contains("eta")) {
-    label += " eta=" +
-             std::to_string(static_cast<int>(s.at("eta").as_number()));
-  }
-  if (s.contains("rungs")) {
-    label += " rungs=" +
-             std::to_string(static_cast<int>(s.at("rungs").as_number()));
-  }
-  if (s.contains("refine_rounds")) {
-    label += " refine_rounds=" +
-             std::to_string(
-                 static_cast<int>(s.at("refine_rounds").as_number()));
-  }
-  return label;
-}
-
-/// --merge mode: recombine shard files into the canonical order with a
-/// recomputed global Pareto frontier.
+/// --merge mode: recombine sweep documents into the canonical order with
+/// a recomputed global Pareto frontier (core::merge_sweep_documents).
 int run_merge(const std::vector<std::string>& files,
               const std::string& out_path) {
-  std::vector<core::DseResult> shards;
-  std::string model_name;
-  std::string arch_label;
-  std::string sampler_name;
-  std::string aggregate_name;
-  std::string objective_name;  // non-canned spec text; empty = canned
-  std::string strategy_label;
-  util::Json strategy_json;  // first file's strategy knobs, re-emitted
-  bool report_distinct = false;  // random-sampled sweeps: header-carried
-  size_t distinct = 0;           // distinct-point count, re-emitted
-  size_t total_points = 0;
-  for (size_t i = 0; i < files.size(); ++i) {
-    const util::Json root = parse_json_file(files[i]);
-    try {
-      shards.push_back(core::dse_result_from_json(root));
-    } catch (const std::invalid_argument& error) {
-      // Validation errors name the offending file too, not just the
-      // field: across N shard files the bare message is not actionable.
-      throw std::invalid_argument(files[i] + ": " + error.what());
-    }
-    const std::string model = metadata_string(root, "model", "");
-    const std::string arch = metadata_string(root, "arch", "");
-    const std::string sampler = metadata_string(root, "sampler", "grid");
-    const std::string aggregate = metadata_string(root, "aggregate", "");
-    const std::string objective = metadata_string(root, "objective", "");
-    const std::string strategy = strategy_label_of(root);
-    const bool has_distinct = root.contains("distinct");
-    const size_t file_distinct =
-        has_distinct ? static_cast<size_t>(root.at("distinct").as_number())
-                     : 0;
-    const size_t total =
-        root.contains("total_points")
-            ? static_cast<size_t>(root.at("total_points").as_number())
-            : 0;
-    if (i == 0) {
-      model_name = model;
-      arch_label = arch;
-      sampler_name = sampler;
-      aggregate_name = aggregate;
-      objective_name = objective;
-      strategy_label = strategy;
-      if (root.contains("strategy")) {
-        // Carry only the identifying knobs into the merged document —
-        // per-shard rung_stats are shard-local accounting, not sweep
-        // metadata.
-        const util::Json& s = root.at("strategy");
-        strategy_json["name"] = s.at("name").as_string();
-        if (s.contains("eta")) strategy_json["eta"] = s.at("eta");
-        if (s.contains("rungs")) strategy_json["rungs"] = s.at("rungs");
-        if (s.contains("refine_rounds")) {
-          strategy_json["refine_rounds"] = s.at("refine_rounds");
-        }
-      }
-      report_distinct = has_distinct;
-      distinct = file_distinct;
-      total_points = total;
-    } else if (model != model_name || arch != arch_label ||
-               sampler != sampler_name || aggregate != aggregate_name ||
-               objective != objective_name || strategy != strategy_label ||
-               has_distinct != report_distinct ||
-               file_distinct != distinct || total != total_points) {
-      // A distinct-count mismatch between random-sampled shards means a
-      // different seed or sample size — a different point list entirely.
-      throw std::invalid_argument(
-          "--merge: " + files[i] + " is from a different sweep than " +
-          files[0] +
-          " (model/arch/sampler/aggregate/objective/strategy/distinct/"
-          "total_points mismatch)");
-    }
+  std::vector<std::pair<std::string, std::string>> documents;
+  for (const std::string& file : files) {
+    documents.emplace_back(file, read_file(file));
   }
-  // Attribute duplicate canonical indices to the files carrying them:
-  // core::merge() rejects overlaps, but only the CLI knows which shard
-  // files collided.
-  std::map<size_t, const std::string*> file_of_index;
-  for (size_t i = 0; i < files.size(); ++i) {
-    for (const core::DsePoint& pt : shards[i].points) {
-      const auto [it, inserted] = file_of_index.emplace(pt.index, &files[i]);
-      if (!inserted) {
-        throw std::invalid_argument(
-            "--merge: canonical point index " + std::to_string(pt.index) +
-            " appears in both " + *it->second + " and " + files[i] +
-            " (overlapping shard files?)");
-      }
-    }
-  }
-  // The global frontier is recomputed over the sweep's own Pareto axes:
-  // an empty stamp means a canned objective (the legacy triple), so
-  // legacy merges stay byte-identical.
-  const core::ObjectiveSpec objective_spec =
-      objective_name.empty() ? core::ObjectiveSpec()
-                             : core::ObjectiveSpec::parse(objective_name);
-  const core::DseResult merged =
-      core::merge(std::move(shards), core::pareto_axes(objective_spec));
-  if (total_points == 0) total_points = merged.points.size();
+  const core::ExploreResponse merged = core::merge_sweep_documents(documents);
   // Adaptive strategies legitimately emit fewer (halving: survivors
   // only) or more (frontier: refined neighbors) points than the sampled
   // space holds, so the missing-shard heuristic only applies to
   // exhaustive one-shot sweeps.
-  if (merged.points.size() != total_points && strategy_label == "one-shot") {
-    std::cerr << "simphony_cli: warning: merged " << merged.points.size()
-              << " of " << total_points
+  if (merged.result.points.size() != merged.total_points &&
+      merged.strategy_name == "one-shot") {
+    std::cerr << "simphony_cli: warning: merged "
+              << merged.result.points.size() << " of " << merged.total_points
               << " points — missing shard file(s)?\n";
   }
-  util::Json root =
-      result_root(model_name, arch_label, sampler_name, aggregate_name,
-                  total_points, core::DseShard{}, merged);
-  if (!objective_name.empty()) root["objective"] = objective_name;
-  if (strategy_label != "one-shot") root["strategy"] = strategy_json;
-  if (report_distinct) root["distinct"] = distinct;
+  const std::string text = merged.to_json().dump(2) + "\n";
   if (out_path.empty()) {
-    std::cout << root.dump(2) << "\n";
-  } else {
-    std::ofstream out(out_path);
-    if (!out) throw std::invalid_argument("cannot open --out " + out_path);
-    out << root.dump(2) << "\n";
+    std::cout << text;
+    return 0;
   }
+  // Temp file + fsync + rename: a failed write (full disk, file-size
+  // limit) exits 1 naming the file and never publishes a torn document.
+  util::AtomicFileOutputStream out(out_path);
+  out.write(text);
+  out.commit();
   return 0;
 }
 
@@ -467,15 +313,8 @@ int run_merge(const std::vector<std::string>& files,
 /// response: the table and CSV show the aggregate metrics, `--json` /
 /// `--out` points additionally carry per-model rows (batched sweeps).
 int run_dse(core::Engine& engine, const core::ExploreRequest& request,
-            bool batch, size_t total_points, const std::string& out_path,
-            const std::string& cache_file, bool resume, bool as_json,
-            bool as_csv) {
-  // The engine owns these as ground truth; deriving the CLI's metadata
-  // and resume verification from the same helpers means the labels (and
-  // the --resume point check) can never drift from what it evaluates.
-  const core::DseShardWriter::Metadata metadata =
-      core::explore_metadata(request);
-
+            const std::string& out_path, const std::string& cache_file,
+            bool resume, bool as_json, bool as_csv) {
   // --cache-file: warm-start the cost-matrix cache.  The engine loaded
   // it at construction (a missing file is a cold start; a damaged one
   // degrades with a warning — a bad cache may only ever cost time, never
@@ -495,106 +334,46 @@ int run_dse(core::Engine& engine, const core::ExploreRequest& request,
   }
 
   // --resume: salvage the completed points of an interrupted run from
-  // the finalized file (clean interrupt) or its .tmp (hard kill), verify
-  // they belong to THIS sweep, and exclude their canonical indices from
-  // the new exploration.
-  core::DseResult recovered;
-  std::unordered_set<size_t> skip_indices;
+  // the finalized file (clean interrupt) or its .tmp (hard kill).  The
+  // engine verifies they belong to THIS sweep before on_start, skips
+  // them, and replays them through on_point.
+  std::optional<core::ShardRecovery> recovery;
   if (resume) {
-    std::string source;
-    if (file_exists(out_path)) {
-      source = out_path;
-    } else if (file_exists(out_path + ".tmp")) {
-      source = out_path + ".tmp";
-    }
-    if (source.empty()) {
+    std::string source = out_path + ".tmp";
+    if (std::ifstream(out_path)) source = out_path;
+    if (!std::ifstream(source)) {
       std::cerr << "simphony_cli: --resume: no " << out_path << " or "
                 << out_path << ".tmp to recover; starting fresh\n";
     } else {
-      const core::ShardRecovery salvage =
-          core::recover_shard_text(read_file(source), source);
-      if (!salvage.message.empty()) {
-        std::cerr << "simphony_cli: " << salvage.message << "\n";
+      recovery = core::recover_shard_text(read_file(source), source);
+      if (!recovery->message.empty()) {
+        std::cerr << "simphony_cli: " << recovery->message << "\n";
       }
-      const core::DseShardWriter::Metadata& got = salvage.metadata;
-      if (got.arch != metadata.arch || got.model != metadata.model ||
-          got.sampler != metadata.sampler ||
-          got.aggregate != metadata.aggregate ||
-          got.objective != metadata.objective ||
-          got.strategy != metadata.strategy || got.eta != metadata.eta ||
-          got.rungs != metadata.rungs ||
-          got.shard.index != metadata.shard.index ||
-          got.shard.count != metadata.shard.count ||
-          got.total_points != metadata.total_points) {
-        const auto strategy_or = [](const std::string& name) {
-          return name.empty() ? std::string("one-shot") : name;
-        };
-        // An empty stamp means any canned objective (they all share the
-        // legacy point semantics, so shards interchange freely).
-        const auto objective_or = [](const std::string& text) {
-          return text.empty() ? std::string("(canned)") : text;
-        };
-        throw std::invalid_argument(
-            source + ": --resume metadata mismatch (file: arch=" + got.arch +
-            " model=" + got.model + " sampler=" + got.sampler +
-            " objective=" + objective_or(got.objective) +
-            " strategy=" + strategy_or(got.strategy) +
-            " total_points=" + std::to_string(got.total_points) +
-            "; current run: arch=" + metadata.arch + " model=" +
-            metadata.model + " sampler=" + metadata.sampler +
-            " objective=" + objective_or(metadata.objective) +
-            " strategy=" + strategy_or(metadata.strategy) +
-            " total_points=" + std::to_string(metadata.total_points) + ")");
-      }
-      // Per-index parameter verification: the sampled point list is a
-      // pure function of (space, sampler, seed), so matching every
-      // recovered point against it subsumes a space/seed check without
-      // any extra metadata in the file format.
-      const std::vector<arch::ArchParams> all_points =
-          core::resolve_points(request);
-      for (const core::DsePoint& pt : salvage.result.points) {
-        if (pt.index >= all_points.size() ||
-            !(pt.params == all_points[pt.index])) {
-          throw std::invalid_argument(
-              source + ": --resume point " + std::to_string(pt.index) +
-              " does not match the current sweep's parameters at that "
-              "index (different --sweep/--sample/--samples/--seed?)");
-        }
-        if (!skip_indices.insert(pt.index).second) {
-          throw std::invalid_argument(
-              source + ": --resume found canonical index " +
-              std::to_string(pt.index) + " twice (damaged shard file?)");
-        }
-      }
-      recovered = std::move(salvage.result);
-      std::cerr << "simphony_cli: resuming " << out_path << ": "
-                << recovered.points.size() << " of " << total_points
-                << " point(s) recovered\n";
     }
   }
 
-  // --out streams each point the moment it completes (completion order;
-  // the "index" field is the canonical position) through DseShardWriter's
-  // durable file sink: bytes land in FILE.tmp with an fsync per point and
-  // finish() rewrites the points in canonical index order and atomically
-  // renames onto FILE — the final path only ever holds a complete
-  // document, byte-identical at any --threads, and the .tmp survives a
-  // hard kill for --resume.  --merge recombines shards and recomputes
-  // the frontier.
+  // --out streams each point as it completes through DseShardWriter's
+  // durable sink: FILE.tmp, fsynced per point, which finish() rewrites in
+  // canonical index order and renames onto FILE — so FILE only ever holds
+  // a complete document, byte-identical at any --threads, and the .tmp
+  // survives a hard kill for --resume.  The writer opens in on_start,
+  // once the engine has accepted the request and any resumed points.
   std::unique_ptr<core::DseShardWriter> shard_writer;
   core::Engine::ExploreHooks hooks;
-  if (!out_path.empty()) {
-    shard_writer = std::make_unique<core::DseShardWriter>(out_path, metadata);
-    // Re-emit the recovered prefix first; finish() sorts the published
-    // file, so it is byte-identical to an uninterrupted run's.
-    for (const core::DsePoint& pt : recovered.points) {
-      shard_writer->add_point(pt);
+  if (recovery) hooks.resume = &*recovery;
+  hooks.on_start = [&](const core::DseShardWriter::Metadata& header) {
+    if (recovery) {
+      std::cerr << "simphony_cli: resuming " << out_path << ": "
+                << recovery->result.points.size() << " of "
+                << header.total_points << " point(s) recovered\n";
     }
-    hooks.on_point = [&](const core::DsePoint& pt) {
-      shard_writer->add_point(pt);
-    };
-  }
-  if (!skip_indices.empty()) hooks.skip_indices = &skip_indices;
+    if (!out_path.empty()) {
+      shard_writer = std::make_unique<core::DseShardWriter>(out_path, header);
+    }
+  };
+  hooks.on_point = [&](const core::DsePoint& pt) {
+    if (shard_writer != nullptr) shard_writer->add_point(pt);
+  };
 
   // SIGINT/SIGTERM unwind cooperatively at the next completed point (the
   // point itself is streamed before the check fires), so the shard file
@@ -630,16 +409,6 @@ int run_dse(core::Engine& engine, const core::ExploreRequest& request,
     return 130;
   }
 
-  // A resumed sweep's canonical document is the merge of the recovered
-  // prefix with the freshly explored remainder — bit-identical to the
-  // uninterrupted run (merge restores canonical order and recomputes the
-  // frontier exactly as an unsharded explore would have).
-  if (!recovered.points.empty()) {
-    response.result = core::merge(
-        {std::move(recovered), std::move(response.result)},
-        core::pareto_axes(
-            core::ObjectiveSpec::parse(request.base.objective)));
-  }
   const core::DseResult& result = response.result;
 
   if (as_json) {
@@ -667,7 +436,8 @@ int run_dse(core::Engine& engine, const core::ExploreRequest& request,
 
   std::cout << "== DSE: " << response.model_label << " on "
             << response.arch_label << " (" << result.points.size() << " of "
-            << total_points << " points, sampler " << response.sampler_name;
+            << response.total_points << " points, sampler "
+            << response.sampler_name;
   if (request.strategy != "one-shot") {
     std::cout << ", strategy " << request.strategy;
   }
@@ -676,7 +446,7 @@ int run_dse(core::Engine& engine, const core::ExploreRequest& request,
               << request.shard.count;
   }
   std::cout << ") ==\n";
-  if (batch) {
+  if (!response.aggregate_label.empty()) {
     std::cout << "batch of " << request.base.models.size()
               << " model(s), aggregate " << response.aggregate_label
               << " (per-model rows in --json / --out)\n";
@@ -1072,11 +842,6 @@ int run(int argc, char** argv) {
         "or give --models)");
   }
 
-  // Resolve the models now, through the engine's own resolver: the spec
-  // diagnostics fire here (same order the hand-rolled CLI produced them)
-  // and the single-model human header below needs the built model's name.
-  const core::ResolvedModels resolved = core::resolve_models(request);
-
   // The chosen strategy; null means the legacy fixed route-to-0 default.
   const std::unique_ptr<core::Mapper> mapper = core::make_mapper(request);
 
@@ -1128,21 +893,12 @@ int run(int argc, char** argv) {
     // engine loads the cache file, like the hand-rolled flow.
     (void)core::make_sampler(explore_request);
     (void)core::make_strategy(explore_request);
-    const size_t total_points =
-        explore_request.samples > 0
-            ? static_cast<size_t>(explore_request.samples)
-            : [&] {
-                core::DseSpace space = explore_request.space;
-                space.base = request.params;
-                return space.size();
-              }();
-
     core::Engine::Options engine_options;
     engine_options.num_threads = 1;  // the CLI evaluates synchronously
     engine_options.cache_file = cache_file;
     core::Engine engine(engine_options);
-    return run_dse(engine, explore_request, batch, total_points, out_path,
-                   cache_file, resume, as_json, as_csv);
+    return run_dse(engine, explore_request, out_path, cache_file, resume,
+                   as_json, as_csv);
   }
   if (!dse_flag_seen.empty()) {
     throw std::invalid_argument(dse_flag_seen +
@@ -1158,6 +914,9 @@ int run(int argc, char** argv) {
   if (!out_path.empty()) {
     throw std::invalid_argument("--out only applies to DSE or merge mode");
   }
+  // The single-model human header below needs the built model's name
+  // (the engine's response carries the deduped entry name).
+  const core::ResolvedModels resolved = core::resolve_models(request);
 
   // --cache-file outside a sweep: the same persistent warm start for a
   // one-shot costed-mapping simulation (e.g. re-running a batch after a

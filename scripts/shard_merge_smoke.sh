@@ -2,8 +2,8 @@
 # Shard-merge smoke test: run the same CLI sweep unsharded and as two
 # shards, merge the shard files, and require the merged document (point
 # list + frontier) to be byte-identical to the unsharded run.  Exercises
-# the sharding math, the JSON writer/parser round trip, and --out
-# streaming end to end.
+# the sharding math, the JSON writer/parser round trip, --out streaming
+# and --merge --out end to end, and merges a halving shard pair.
 #
 # usage: scripts/shard_merge_smoke.sh [build-dir]   (default: build)
 set -euo pipefail
@@ -34,7 +34,29 @@ for sample_args in "" "--sample random --samples 6 --seed 9" \
     exit 1
   fi
   echo "ok: shard 0/2 + 1/2 == unsharded (sampler: ${sample_args:-grid})"
+  # --merge --out publishes the same bytes the stdout merge prints.
+  "$CLI" --merge "$WORK_DIR/s0.json" "$WORK_DIR/s1.json" \
+      --out "$WORK_DIR/merged_out.json"
+  if ! cmp "$WORK_DIR/merged.json" "$WORK_DIR/merged_out.json"; then
+    echo "FAIL: --merge --out differs from the stdout merge" \
+         "(sampler: ${sample_args:-grid})" >&2
+    exit 1
+  fi
+  echo "ok: --merge --out == stdout merge (sampler: ${sample_args:-grid})"
 done
+
+# A successive-halving sweep's shard pair merges too (its headers carry
+# the strategy knobs, which the same-sweep check compares).
+for shard in 0 1; do
+  "$CLI" "${SWEEP[@]}" --strategy halving --eta 2 --shard "$shard/2" \
+      --out "$WORK_DIR/h$shard.json" > /dev/null
+done
+"$CLI" --merge "$WORK_DIR/h0.json" "$WORK_DIR/h1.json" \
+    > "$WORK_DIR/halving_merged.json" || {
+  echo "FAIL: halving shard 0/2 + 1/2 did not merge" >&2
+  exit 1
+}
+echo "ok: halving shard 0/2 + 1/2 merge"
 
 # Interrupted-sweep resilience: --out re-terminates the JSON array after
 # every point, so the on-disk state after k points is the first 7+k lines

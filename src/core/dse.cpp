@@ -803,21 +803,19 @@ DseShardWriter::DseShardWriter(std::unique_ptr<ShardSink> sink,
   if (!metadata.aggregate.empty()) {
     header += ",\n\"aggregate\": " + util::Json(metadata.aggregate).dump(-1);
   }
-  // Non-canned objective specs change point semantics (extra Pareto axes,
-  // p99 fields), so --resume / --merge must refuse mismatched shards; the
-  // canned specs stamp nothing, keeping legacy documents byte-identical.
   if (!metadata.objective.empty()) {
     header += ",\n\"objective\": " + util::Json(metadata.objective).dump(-1);
   }
-  // Strategy runs record how the sweep was driven so --resume / --merge
-  // can refuse mismatched shards; one-shot sweeps omit the object
-  // entirely, keeping their documents byte-identical to older files.
   if (!metadata.strategy.empty()) {
     header += ",\n\"strategy\": {\"name\": " +
               util::Json(metadata.strategy).dump(-1);
     if (metadata.eta > 0) header += ", \"eta\": " + std::to_string(metadata.eta);
     if (metadata.rungs > 0) {
       header += ", \"rungs\": " + std::to_string(metadata.rungs);
+    }
+    if (metadata.refine_rounds > 0) {
+      header += ", \"refine_rounds\": " +
+                std::to_string(metadata.refine_rounds);
     }
     header += "}";
   }
@@ -906,49 +904,96 @@ namespace {
       (origin.empty() ? std::string() : origin + ": ") + what);
 }
 
-DseShardWriter::Metadata metadata_from_header(const util::Json& root) {
-  DseShardWriter::Metadata meta;
-  meta.arch = root.at("arch").as_string();
-  meta.model = root.at("model").as_string();
-  meta.sampler = root.at("sampler").as_string();
-  if (root.contains("distinct")) {
-    meta.distinct = static_cast<size_t>(root.at("distinct").as_number());
-    meta.report_distinct = true;
-  }
-  if (root.contains("aggregate")) {
-    meta.aggregate = root.at("aggregate").as_string();
-  }
-  if (root.contains("objective")) {
-    meta.objective = root.at("objective").as_string();
-  }
+}  // namespace
+
+DseShardWriter::Metadata DseShardWriter::Metadata::from_json(
+    const util::Json& root) {
+  // Absent fields keep `fallback`; present ones must have the right type.
+  const auto text = [](const util::Json& j, const char* key,
+                       const char* fallback) {
+    return j.contains(key) ? j.at(key).as_string() : std::string(fallback);
+  };
+  const auto count = [](const util::Json& j, const char* key,
+                        size_t fallback) {
+    if (!j.contains(key)) return fallback;
+    const double value = j.at(key).as_number();
+    if (value < 0 || value != std::floor(value) || value >= 0x1p31) {
+      throw std::invalid_argument(std::string("sweep header field '") + key +
+                                  "' is not a non-negative integer");
+    }
+    return static_cast<size_t>(value);
+  };
+  Metadata meta;
+  meta.arch = text(root, "arch", "");
+  meta.model = text(root, "model", "");
+  meta.sampler = text(root, "sampler", "grid");
+  meta.report_distinct = root.contains("distinct");
+  meta.distinct = count(root, "distinct", 0);
+  meta.aggregate = text(root, "aggregate", "");
+  meta.objective = text(root, "objective", "");
   if (root.contains("strategy")) {
     const util::Json& strategy = root.at("strategy");
     meta.strategy = strategy.at("name").as_string();
-    if (strategy.contains("eta")) {
-      meta.eta = static_cast<int>(strategy.at("eta").as_number());
-    }
-    if (strategy.contains("rungs")) {
-      meta.rungs = static_cast<int>(strategy.at("rungs").as_number());
-    }
+    meta.eta = static_cast<int>(count(strategy, "eta", 0));
+    meta.rungs = static_cast<int>(count(strategy, "rungs", 0));
+    meta.refine_rounds = static_cast<int>(count(strategy, "refine_rounds", 0));
   }
-  const util::Json& shard = root.at("shard");
-  meta.shard.count = static_cast<int>(shard.at("count").as_number());
-  meta.shard.index = static_cast<int>(shard.at("index").as_number());
-  meta.total_points = static_cast<size_t>(root.at("total_points").as_number());
+  if (root.contains("shard")) {
+    meta.shard.count = static_cast<int>(count(root.at("shard"), "count", 1));
+    meta.shard.index = static_cast<int>(count(root.at("shard"), "index", 0));
+  }
+  meta.total_points = count(root, "total_points", 0);
   return meta;
 }
 
-}  // namespace
+void DseShardWriter::Metadata::require_same_sweep(
+    const Metadata& other, const std::string& origin,
+    const std::string& against, bool compare_shard) const {
+  // Every compared field as "name=value", strings JSON-quoted so equal
+  // lists mean equal headers; a mismatch names the differing fields.
+  const auto fields = [compare_shard](const Metadata& m) {
+    const auto quote = [](const std::string& s) {
+      return util::Json(s).dump(-1);
+    };
+    std::vector<std::string> list = {
+        "arch=" + quote(m.arch), "model=" + quote(m.model),
+        "sampler=" + quote(m.sampler),
+        "distinct=" + (m.report_distinct ? std::to_string(m.distinct) : "-"),
+        "aggregate=" + quote(m.aggregate), "objective=" + quote(m.objective),
+        "strategy=" + quote(m.strategy), "eta=" + std::to_string(m.eta),
+        "rungs=" + std::to_string(m.rungs),
+        "refine_rounds=" + std::to_string(m.refine_rounds),
+        "total_points=" + std::to_string(m.total_points)};
+    if (compare_shard) {
+      list.push_back("shard=" + std::to_string(m.shard.index) + "/" +
+                     std::to_string(m.shard.count));
+    }
+    return list;
+  };
+  const std::vector<std::string> theirs = fields(other);
+  const std::vector<std::string> ours = fields(*this);
+  std::string diff;
+  for (size_t i = 0; i < theirs.size(); ++i) {
+    if (theirs[i] == ours[i]) continue;
+    diff += (diff.empty() ? "" : ", ") + theirs[i] + " vs " + ours[i];
+  }
+  if (diff.empty()) return;
+  throw std::invalid_argument(
+      (origin.empty() ? std::string() : origin + ": ") +
+      "metadata mismatch, a different sweep than " + against + " (" + diff +
+      ")");
+}
 
 ShardRecovery recover_shard_text(const std::string& text,
                                  const std::string& origin) {
   ShardRecovery recovery;
+  recovery.origin = origin;
 
   // Fast path: an untorn document (every between-points kill state the
   // writer can leave behind, and every finished file) parses whole.
   try {
     const util::Json root = util::Json::parse(text);
-    recovery.metadata = metadata_from_header(root);
+    recovery.metadata = DseShardWriter::Metadata::from_json(root);
     recovery.result = dse_result_from_json(root);
     recovery.complete = true;
     return recovery;
@@ -969,7 +1014,7 @@ ShardRecovery recover_shard_text(const std::string& text,
   try {
     const util::Json header =
         util::Json::parse(text.substr(0, body_start) + "]}");
-    recovery.metadata = metadata_from_header(header);
+    recovery.metadata = DseShardWriter::Metadata::from_json(header);
   } catch (const std::invalid_argument& error) {
     recovery_fail(origin, std::string("shard header unrecoverable: ") +
                               error.what());

@@ -376,6 +376,9 @@ class ShardSink {
 
 class DseShardWriter {
  public:
+  /// The sweep header: which sweep a document belongs to.  core::Engine
+  /// computes it once per explore; from_json is its one parser and
+  /// require_same_sweep the one check behind --resume and --merge.
   struct Metadata {
     std::string arch;
     std::string model;
@@ -384,14 +387,15 @@ class DseShardWriter {
     /// "weighted") so --merge can reproduce the unsharded document;
     /// empty (single-model sweeps) omits the field entirely.
     std::string aggregate;
-    /// Strategy-driven sweeps record the strategy identity so --resume
-    /// can verify the interrupted run's schedule and --merge can check
-    /// shard consistency; empty (one-shot sweeps) omits the "strategy"
-    /// header object entirely, keeping pre-strategy documents
-    /// byte-identical.  eta/rungs are meaningful for "halving" only.
+    /// Strategy-driven sweeps record the strategy identity and knobs;
+    /// empty (one-shot sweeps) omits the "strategy" header object
+    /// entirely, keeping pre-strategy documents byte-identical.
+    /// eta/rungs are meaningful for "halving" only, refine_rounds for
+    /// "frontier" only; 0 omits the knob.
     std::string strategy;
     int eta = 0;
     int rungs = 0;
+    int refine_rounds = 0;
     /// Random-sampled sweeps record the sample's distinct-point count
     /// (a pure function of space/samples/seed, so identical across the
     /// shards of one sweep) so --merge reproduces the unsharded
@@ -399,13 +403,25 @@ class DseShardWriter {
     size_t distinct = 0;
     bool report_distinct = false;
     /// Non-canned objective specs (core/metrics.h ObjectiveSpec::text)
-    /// are stamped into the header so --merge / --resume can verify the
-    /// shards rank and mark frontiers identically; empty (the canned
-    /// latency/energy/edp sweeps) omits the field, keeping legacy shard
-    /// documents byte-identical.
+    /// change point semantics (extra Pareto axes, p99 fields); empty (the
+    /// canned latency/energy/edp sweeps) omits the field, keeping legacy
+    /// shard documents byte-identical.
     std::string objective;
     DseShard shard;
     size_t total_points = 0;
+
+    /// Reads the header of a shard document, a DSE --json response or a
+    /// pre-sharding file: absent fields keep the defaults above, unknown
+    /// ones are ignored, a mistyped one throws std::invalid_argument.
+    [[nodiscard]] static Metadata from_json(const util::Json& root);
+
+    /// Throws std::invalid_argument naming `origin`, `against` and both
+    /// headers unless `other` describes the same sweep.  Every field is
+    /// compared; `shard` only when `compare_shard` (--resume continues
+    /// one shard, --merge combines different shards of one sweep).
+    void require_same_sweep(const Metadata& other, const std::string& origin,
+                            const std::string& against,
+                            bool compare_shard) const;
   };
 
   /// Writes the document header immediately.  The stream is not owned and
@@ -450,9 +466,10 @@ class DseShardWriter {
   bool finished_ = false;
 };
 
-/// What recover_shard_text() salvaged from a shard document (--resume,
-/// and --merge's damaged-input path).
+/// What recover_shard_text() salvaged from a shard document: the input
+/// of a resumed sweep (Engine::ExploreHooks::resume).
 struct ShardRecovery {
+  std::string origin;  // the file name recover_shard_text was given
   DseShardWriter::Metadata metadata;
   /// The valid point prefix, in file order (completion order of the
   /// interrupted run), canonical indices preserved.

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <map>
 #include <stdexcept>
+#include <unordered_set>
 #include <utility>
 
 #include "arch/description.h"
@@ -189,6 +190,86 @@ arch::PtcTemplate template_by_name(const std::string& name) {
       "' (expected tempo|lt|mzi|scatter|mrr|butterfly|pcm|wdm)");
 }
 
+/// The request's batch fold, with the CLI's diagnostic.
+BatchAggregate aggregate_of(const SimulateRequest& request) {
+  const std::optional<BatchAggregate> aggregate =
+      parse_aggregate(request.aggregate);
+  if (!aggregate) {
+    throw std::invalid_argument("--aggregate expects sum|max|weighted, "
+                                "got '" + request.aggregate + "'");
+  }
+  return *aggregate;
+}
+
+/// Template names joined with "+" (the "arch" label of every document).
+std::string label_of(const std::vector<arch::PtcTemplate>& templates) {
+  std::string label = templates.front().name;
+  for (size_t t = 1; t < templates.size(); ++t) {
+    label += "+" + templates[t].name;
+  }
+  return label;
+}
+
+/// The sweep header of a resolved explore request: the one place its
+/// fields are computed, for shard files, the response and --resume alike.
+DseShardWriter::Metadata sweep_header(const ExploreRequest& request,
+                                      std::string arch,
+                                      const ResolvedModels& models,
+                                      BatchAggregate aggregate,
+                                      const ObjectiveSpec& objective,
+                                      const DseSpace& space,
+                                      const DseSampler* sampler) {
+  DseShardWriter::Metadata header;
+  header.arch = std::move(arch);
+  header.model = models.label;
+  header.sampler = sampler != nullptr ? request.sample : "grid";
+  if (header.sampler == "random") {
+    // A cheap deterministic re-sample (no evaluation), so every shard of
+    // one sweep stamps the same count.
+    const std::vector<arch::ArchParams> drawn = sampler->sample(space);
+    header.distinct =
+        std::unordered_set<arch::ArchParams, ArchParamsHash>(drawn.begin(),
+                                                             drawn.end())
+            .size();
+    header.report_distinct = true;
+  }
+  if (models.workloads.size() > 1) header.aggregate = to_string(aggregate);
+  if (!objective.canned_objective()) header.objective = objective.text();
+  if (request.strategy != "one-shot") header.strategy = request.strategy;
+  if (request.strategy == "halving") {
+    header.eta = request.eta;
+    header.rungs = request.rungs;
+  }
+  if (request.strategy == "frontier") {
+    header.refine_rounds = request.refine_rounds;
+  }
+  header.shard = request.shard;
+  header.total_points = sampler != nullptr
+                            ? static_cast<size_t>(request.samples)
+                            : space.size();
+  return header;
+}
+
+/// A response labelled from a sweep header (evaluated or merged).
+ExploreResponse response_for(const DseShardWriter::Metadata& header) {
+  ExploreResponse response;
+  response.arch_label = header.arch;
+  response.model_label = header.model;
+  response.sampler_name = header.sampler;
+  response.aggregate_label = header.aggregate;
+  response.objective = header.objective;
+  response.total_points = header.total_points;
+  response.shard = header.shard;
+  response.strategy_name =
+      header.strategy.empty() ? "one-shot" : header.strategy;
+  response.eta = header.eta;
+  response.rungs = header.rungs;
+  response.refine_rounds = header.refine_rounds;
+  response.distinct = header.distinct;
+  response.report_distinct = header.report_distinct;
+  return response;
+}
+
 }  // namespace
 
 // ------------------------------------------------------ request JSON
@@ -364,13 +445,7 @@ std::vector<arch::PtcTemplate> resolve_templates(
 }
 
 std::string arch_label(const SimulateRequest& request) {
-  const std::vector<arch::PtcTemplate> templates =
-      resolve_templates(request);
-  std::string label = templates.front().name;
-  for (size_t t = 1; t < templates.size(); ++t) {
-    label += "+" + templates[t].name;
-  }
-  return label;
+  return label_of(resolve_templates(request));
 }
 
 ResolvedModels resolve_models(const SimulateRequest& request) {
@@ -493,70 +568,6 @@ std::vector<arch::ArchParams> resolve_points(const ExploreRequest& request) {
   return sampler != nullptr ? sampler->sample(space) : space.enumerate();
 }
 
-namespace {
-
-/// Distinct-point count of the redrawing random sampler's list: a cheap
-/// deterministic re-sample (no evaluation), a pure function of
-/// space/samples/seed — so every shard of one sweep computes the same
-/// value.  Only meaningful when the request uses the random sampler.
-size_t random_sample_distinct(const ExploreRequest& request) {
-  DseSpace space = request.space;
-  space.base = request.base.params;
-  const std::unique_ptr<DseSampler> sampler = make_sampler(request);
-  const std::vector<arch::ArchParams> drawn = sampler->sample(space);
-  const std::unordered_set<arch::ArchParams, ArchParamsHash> unique_points(
-      drawn.begin(), drawn.end());
-  return unique_points.size();
-}
-
-}  // namespace
-
-DseShardWriter::Metadata explore_metadata(const ExploreRequest& request) {
-  const ResolvedModels resolved = resolve_models(request.base);
-  DseShardWriter::Metadata metadata;
-  metadata.arch = arch_label(request.base);
-  metadata.model = resolved.label;
-  metadata.sampler = make_sampler(request) != nullptr ? request.sample
-                                                      : "grid";
-  if (metadata.sampler == "random") {
-    metadata.distinct = random_sample_distinct(request);
-    metadata.report_distinct = true;
-  }
-  if (resolved.workloads.size() > 1) {
-    const std::optional<BatchAggregate> aggregate =
-        parse_aggregate(request.base.aggregate);
-    if (!aggregate) {
-      throw std::invalid_argument("--aggregate expects sum|max|weighted, "
-                                  "got '" + request.base.aggregate + "'");
-    }
-    metadata.aggregate = to_string(*aggregate);
-  }
-  // Non-canned objectives change point semantics (extra Pareto axes, p99
-  // fields), so the spec text is stamped for --resume / --merge matching;
-  // canned specs stamp nothing, keeping legacy shard files byte-identical.
-  const ObjectiveSpec objective = ObjectiveSpec::parse(request.base.objective);
-  if (!objective.canned_objective()) metadata.objective = objective.text();
-  if (request.strategy != "one-shot") {
-    // Surfaces range/name errors with the CLI's wording before any
-    // header bytes are written; the instance itself is not needed here.
-    static_cast<void>(make_strategy(request));
-    metadata.strategy = request.strategy;
-    if (request.strategy == "halving") {
-      metadata.eta = request.eta;
-      metadata.rungs = request.rungs;
-    }
-  }
-  metadata.shard = request.shard;
-  if (request.samples > 0) {
-    metadata.total_points = static_cast<size_t>(request.samples);
-  } else {
-    DseSpace space = request.space;
-    space.base = request.base.params;
-    metadata.total_points = space.size();
-  }
-  return metadata;
-}
-
 // -------------------------------------------------- response rendering
 
 util::Json SimulateResponse::to_json() const {
@@ -607,9 +618,6 @@ util::Json ExploreResponse::to_json() const {
   root["model"] = model_label;
   root["arch"] = arch_label;
   root["sampler"] = sampler_name;
-  // The distinct-point count of a random sample (satellite of the
-  // redraw-on-duplicate sampler fix); other samplers draw no duplicates
-  // by construction and omit the field.
   if (report_distinct) root["distinct"] = distinct;
   if (!aggregate_label.empty()) root["aggregate"] = aggregate_label;
   // Non-canned specs only: legacy sweeps never carried the field.
@@ -638,7 +646,7 @@ util::Json ExploreResponse::to_json() const {
       rj["evaluated"] = r.evaluated;
       stats.push_back(std::move(rj));
     }
-    strategy_json["rung_stats"] = std::move(stats);
+    if (report_rung_stats) strategy_json["rung_stats"] = std::move(stats);
     root["strategy"] = std::move(strategy_json);
   }
   if (cache_attached) root["cost_cache"] = cache_stats_to_json(cache);
@@ -690,12 +698,7 @@ ExploreResponse Engine::explore(const ExploreRequest& request) {
 SimulateResponse Engine::evaluate_simulate(
     const SimulateRequest& request,
     const std::function<void(const Progress&)>& on_progress) {
-  const std::optional<BatchAggregate> aggregate =
-      parse_aggregate(request.aggregate);
-  if (!aggregate) {
-    throw std::invalid_argument("--aggregate expects sum|max|weighted, "
-                                "got '" + request.aggregate + "'");
-  }
+  const BatchAggregate aggregate = aggregate_of(request);
   ResolvedModels resolved = resolve_models(request);
   const std::unique_ptr<Mapper> mapper = make_mapper(request);
   const std::shared_ptr<const Simulator> simulator = simulator_for(request);
@@ -722,7 +725,7 @@ SimulateResponse Engine::evaluate_simulate(
       simulator->simulate_batch(resolved.workloads, chosen, batch_options);
   response.is_batch = resolved.workloads.size() > 1;
   response.mapped = mapper != nullptr;
-  response.aggregate = *aggregate;
+  response.aggregate = aggregate;
   response.arch_label = arch_label(request);
   response.model_label = std::move(resolved.label);
   response.mapping_name = chosen.name();
@@ -750,13 +753,8 @@ ExploreResponse Engine::evaluate_explore(const ExploreRequest& request,
                                          const ExploreHooks& hooks) {
   const std::vector<arch::PtcTemplate> templates =
       resolve_templates(request.base);
-  const std::optional<BatchAggregate> aggregate =
-      parse_aggregate(request.base.aggregate);
-  if (!aggregate) {
-    throw std::invalid_argument("--aggregate expects sum|max|weighted, "
-                                "got '" + request.base.aggregate + "'");
-  }
-  ResolvedModels resolved = resolve_models(request.base);
+  const BatchAggregate aggregate = aggregate_of(request.base);
+  const ResolvedModels resolved = resolve_models(request.base);
   const bool batch = resolved.workloads.size() > 1;
   const std::unique_ptr<Mapper> mapper = make_mapper(request.base);
   const std::unique_ptr<DseSampler> sampler = make_sampler(request);
@@ -773,16 +771,18 @@ ExploreResponse Engine::evaluate_explore(const ExploreRequest& request,
 
   DseSpace space = request.space;
   space.base = request.base.params;
+  const DseShardWriter::Metadata header =
+      sweep_header(request, label_of(templates), resolved, aggregate,
+                   objective, space, sampler.get());
 
   DseOptions options;
   options.num_threads = request.base.num_threads;
   options.cache = request.dse_cache;
-  options.aggregate = *aggregate;
+  options.aggregate = aggregate;
   options.objective = objective;
   options.mapper = mapper.get();
   options.sampler = sampler.get();
   options.shard = request.shard;
-  options.skip_indices = hooks.skip_indices;
   options.strategy = strategy.get();
   options.low_fidelity_mapper = low_fidelity.get();
   options.CommonOptions::on_progress = hooks.on_progress;
@@ -790,44 +790,106 @@ ExploreResponse Engine::evaluate_explore(const ExploreRequest& request,
                       mapper->needs_costs();
   if (attach) options.cost_cache = &cache_;
 
-  const size_t total_points =
-      sampler != nullptr ? static_cast<size_t>(request.samples)
-                         : space.size();
+  // Resume: the recovered points must be THIS sweep's — same header, and
+  // (the point list being a pure function of space, sampler and seed) the
+  // same params at every index — before on_start may overwrite anything.
+  std::unordered_set<size_t> recovered;
+  if (hooks.resume != nullptr) {
+    const ShardRecovery& resume = *hooks.resume;
+    header.require_same_sweep(resume.metadata, resume.origin, "this run",
+                              /*compare_shard=*/true);
+    const std::string prefix =
+        resume.origin.empty() ? "" : resume.origin + ": ";
+    const std::vector<arch::ArchParams> points = resolve_points(request);
+    for (const DsePoint& point : resume.result.points) {
+      if (point.index >= points.size() ||
+          !(point.params == points[point.index])) {
+        throw std::invalid_argument(
+            prefix + "--resume point " + std::to_string(point.index) +
+            " does not match the current sweep's parameters at that index "
+            "(different --sweep/--sample/--samples/--seed?)");
+      }
+      if (!recovered.insert(point.index).second) {
+        throw std::invalid_argument(
+            prefix + "--resume found canonical index " +
+            std::to_string(point.index) + " twice (damaged shard file?)");
+      }
+    }
+    options.skip_indices = &recovered;
+  }
+  if (hooks.on_start) hooks.on_start(header);
+  if (hooks.resume != nullptr && hooks.on_point) {
+    for (const DsePoint& point : hooks.resume->result.points) {
+      hooks.on_point(point);
+    }
+  }
 
   const CostMatrixCache::Stats before = cache_.stats();
-  ExploreResponse response;
+  ExploreResponse response = response_for(header);
   response.result =
       batch ? core::explore(templates, lib_, resolved.workloads, space,
                             options, hooks.on_point)
             : core::explore(templates, lib_, resolved.workloads.at(0).model,
                             space, options, hooks.on_point);
-  response.arch_label = arch_label(request.base);
-  response.model_label = std::move(resolved.label);
-  response.sampler_name = sampler != nullptr ? request.sample : "grid";
-  response.aggregate_label = batch ? to_string(*aggregate) : "";
-  response.objective =
-      objective.canned_objective() ? "" : objective.text();
-  response.total_points = total_points;
-  response.shard = request.shard;
+  // A resumed sweep's result is the merge of the recovered points with
+  // the fresh remainder — bit-identical to the uninterrupted run (merge
+  // restores canonical order and recomputes the frontier).
+  if (!recovered.empty()) {
+    response.result = merge({hooks.resume->result, std::move(response.result)},
+                            pareto_axes(objective));
+  }
   response.cache_attached = attach;
   if (attach) response.cache = stats_delta(before, cache_.stats());
-  response.strategy_name = request.strategy;
-  if (strategy != nullptr) {
-    response.rung_stats = strategy->rung_stats();
-    if (request.strategy == "halving") {
-      response.eta = request.eta;
-      response.rungs = request.rungs;
-    }
-    if (request.strategy == "frontier") {
-      response.refine_rounds = request.refine_rounds;
-    }
+  if (strategy != nullptr) response.rung_stats = strategy->rung_stats();
+  return response;
+}
+
+ExploreResponse merge_sweep_documents(
+    const std::vector<std::pair<std::string, std::string>>& documents) {
+  if (documents.empty()) {
+    throw std::invalid_argument("merge needs at least one sweep document");
   }
-  if (sampler != nullptr && request.sample == "random") {
-    // Distinct-point accounting for the redrawing random sampler (the
-    // same cheap deterministic re-sample explore_metadata() stamps into
-    // shard headers, so --merge reproduces this field).
-    response.distinct = random_sample_distinct(request);
-    response.report_distinct = true;
+  DseShardWriter::Metadata header;
+  std::vector<DseResult> shards;
+  std::map<size_t, const std::string*> origin_of;  // canonical index
+  for (const auto& [origin, text] : documents) {
+    DseShardWriter::Metadata got;
+    DseResult shard;
+    try {
+      const util::Json root = util::Json::parse(text);
+      got = DseShardWriter::Metadata::from_json(root);
+      shard = dse_result_from_json(root);
+    } catch (const std::invalid_argument& error) {
+      throw std::invalid_argument(origin + ": " + error.what());
+    }
+    if (shards.empty()) {
+      header = got;
+    } else {
+      header.require_same_sweep(got, origin, documents.front().first,
+                                /*compare_shard=*/false);
+    }
+    for (const DsePoint& point : shard.points) {
+      const auto [it, inserted] = origin_of.emplace(point.index, &origin);
+      if (!inserted) {
+        throw std::invalid_argument(
+            "canonical point index " + std::to_string(point.index) +
+            " appears in both " + *it->second + " and " + origin +
+            " (overlapping shard files?)");
+      }
+    }
+    shards.push_back(std::move(shard));
+  }
+  ExploreResponse response = response_for(header);
+  response.shard = DseShard{};
+  response.report_rung_stats = false;
+  // An empty objective stamp is a canned spec: the legacy Pareto triple.
+  const ObjectiveSpec objective = header.objective.empty()
+                                      ? ObjectiveSpec()
+                                      : ObjectiveSpec::parse(header.objective);
+  response.result = merge(std::move(shards), pareto_axes(objective));
+  // Pre-sharding documents carry no total: the merged points are all.
+  if (response.total_points == 0) {
+    response.total_points = response.result.points.size();
   }
   return response;
 }
@@ -859,11 +921,7 @@ std::shared_ptr<const Simulator> Engine::simulator_for(
   // and the first insert wins.
   const std::vector<arch::PtcTemplate> templates =
       resolve_templates(request);
-  std::string label = templates.front().name;
-  for (size_t t = 1; t < templates.size(); ++t) {
-    label += "+" + templates[t].name;
-  }
-  arch::Architecture system(label);
+  arch::Architecture system(label_of(templates));
   for (const arch::PtcTemplate& ptc : templates) {
     system.add_subarch(arch::SubArchitecture(ptc, request.params, lib_));
   }

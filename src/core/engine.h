@@ -11,9 +11,10 @@
 // structs with exact-round-trip JSON (util/json.h).
 //
 // Three layers consume it:
-//   * simphony_cli calls the synchronous simulate()/explore() — flag
-//     parsing and output rendering only; the rendered documents are
-//     byte-identical to the pre-facade CLI.
+//   * simphony_cli calls the synchronous simulate()/explore() and
+//     merge_sweep_documents() — flag parsing, file I/O and output
+//     rendering only; the engine computes, checks and renders every
+//     sweep header, including --resume verification.
 //   * simphonyd (core/server.h) calls submit(): a bounded admission
 //     queue with reject-with-retry-after backpressure, and coalescing of
 //     concurrent identical requests onto one evaluation (keyed on the
@@ -35,7 +36,7 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "arch/node.h"
@@ -180,13 +181,26 @@ struct ExploreResponse {
   /// all but tiny spaces); other samplers omit the "distinct" field.
   size_t distinct = 0;
   bool report_distinct = false;
+  /// A merged document (merge_sweep_documents) carries the strategy's
+  /// identity but not its per-shard rung accounting.
+  bool report_rung_stats = true;
 
   [[nodiscard]] util::Json to_json() const;
 };
 
-// Request-resolution helpers, shared by the Engine's evaluators and the
-// CLI (resume verification, shard-writer metadata, human tables) so
-// labels and point lists cannot drift between the two.
+/// --merge: recombines (origin, text) sweep documents — --out shard files
+/// or DSE --json responses of one sweep (require_same_sweep, shard
+/// ignored) — with the frontier recomputed over the sweep's Pareto axes.
+/// to_json() of the result is the merged document: the unsharded --json
+/// document without its per-run "cost_cache"/"rung_stats".  Throws
+/// std::invalid_argument on an empty list, and naming the origin(s) on
+/// a parse error, a different sweep, or an index in two documents.
+[[nodiscard]] ExploreResponse merge_sweep_documents(
+    const std::vector<std::pair<std::string, std::string>>& documents);
+
+// Request-resolution helpers, shared by the Engine's evaluators, the
+// CLI's flag-time validation and the traced benchmark harness, so labels
+// and point lists cannot drift between them.
 
 /// The PTC templates a request names ({"tempo"} default).  Throws on an
 /// unknown template name, an empty `arch` list entry, or a request
@@ -229,14 +243,9 @@ struct ResolvedModels {
     const ExploreRequest& request);
 
 /// The canonical (unsharded) point list of an explore request — the
-/// per-index ground truth the CLI's --resume verification checks
-/// recovered points against.
+/// per-index ground truth a resumed sweep's recovered points are checked
+/// against.
 [[nodiscard]] std::vector<arch::ArchParams> resolve_points(
-    const ExploreRequest& request);
-
-/// Shard-document metadata of an explore request (what DseShardWriter
-/// stamps into --out files and --resume matches against).
-[[nodiscard]] DseShardWriter::Metadata explore_metadata(
     const ExploreRequest& request);
 
 /// The long-lived service facade.  Thread-safe: simulate()/explore()/
@@ -283,15 +292,24 @@ class Engine {
 
   /// Per-call observers and resume support for explore().
   struct ExploreHooks {
+    /// Fires once with the sweep header, after every request and resume
+    /// check passed and before the first point — the CLI opens its --out
+    /// shard writer here, so a rejected request never touches the file.
+    std::function<void(const DseShardWriter::Metadata&)> on_start;
     /// Fires as each point completes (completion order), after the point
-    /// is final — the CLI streams shard files from this.
+    /// is final — the CLI streams shard files from this.  A resumed
+    /// sweep replays its recovered points here first.
     std::function<void(const DsePoint&)> on_point;
     /// Generic progress milestones (CommonOptions contract).  Fires
     /// after on_point for the same completion, so an abort thrown from
     /// here never loses a streamed point.
     std::function<void(const Progress&)> on_progress;
-    /// Canonical indices to skip (--resume).  Not owned.
-    const std::unordered_set<size_t>* skip_indices = nullptr;
+    /// Resume: what an interrupted run of this sweep saved.  Before
+    /// on_start the engine requires the same header (shard included) and
+    /// each point's params at its index, once (std::invalid_argument
+    /// naming the origin otherwise); the points are then replayed through
+    /// on_point, skipped, and merged into the response.  Not owned.
+    const ShardRecovery* resume = nullptr;
   };
 
   /// Synchronous evaluation on the calling thread (the CLI path — no

@@ -228,9 +228,9 @@ struct CliResult {
   std::string output;  // stdout + stderr
 };
 
-CliResult run_cli(const std::string& args) {
-  const std::string command =
-      std::string(SIMPHONY_CLI_PATH) + " " + args + " 2>&1";
+/// Runs a /bin/sh command line, capturing stdout + stderr.
+CliResult run_shell(const std::string& command_line) {
+  const std::string command = command_line + " 2>&1";
   FILE* pipe = popen(command.c_str(), "r");
   if (pipe == nullptr) throw std::runtime_error("popen failed");
   CliResult result;
@@ -242,6 +242,10 @@ CliResult run_cli(const std::string& args) {
   const int status = pclose(pipe);
   result.exit_code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
   return result;
+}
+
+CliResult run_cli(const std::string& args) {
+  return run_shell(std::string(SIMPHONY_CLI_PATH) + " " + args);
 }
 
 std::string read_file(const std::string& path) {
@@ -339,10 +343,82 @@ TEST(CliResume, ResumedHalvingSweepIsByteIdenticalToUninterrupted) {
   EXPECT_EQ(mismatched.exit_code, 1);
   EXPECT_NE(mismatched.output.find("metadata mismatch"), std::string::npos)
       << mismatched.output;
+  // Rejected before the writer opens: the recovery artifact is untouched.
+  EXPECT_EQ(read_file(resumed_path + ".tmp"),
+            full_bytes.substr(0, full_bytes.size() * 3 / 5));
+  EXPECT_TRUE(read_file(resumed_path).empty());
 
   std::remove(full_path.c_str());
   std::remove(resumed_path.c_str());
   std::remove((resumed_path + ".tmp").c_str());
+}
+
+// A resume the engine rejects exits 1 and leaves FILE and FILE.tmp as
+// they were: every check runs before the shard writer opens FILE.tmp.
+TEST(CliResume, RejectedResumesLeaveTheirFilesByteIdentical) {
+  const std::string dir = ::testing::TempDir();
+  const std::string full_path = dir + "reject_full.json";
+  const std::string path = dir + "reject.json";
+  ASSERT_EQ(run_cli(std::string(kSweepArgs) + " --out " + full_path)
+                .exit_code,
+            0);
+  const std::string full = read_file(full_path);
+  // The writer emits one point per line after the header lines.
+  std::vector<std::string> lines;
+  std::istringstream stream(full);
+  for (std::string line; std::getline(stream, line);) lines.push_back(line);
+  size_t first = 0;  // the first point's line
+  while (first < lines.size() && lines[first].rfind("{\"", 0) != 0) ++first;
+  ASSERT_LT(first + 1, lines.size());
+  const auto join = [](const std::vector<std::string>& parts) {
+    std::string text;
+    for (const std::string& part : parts) text += part + "\n";
+    return text;
+  };
+
+  std::vector<std::string> foreign = lines;  // point 0 with other params
+  const size_t tiles = foreign[first].find("\"tiles\":1,");
+  ASSERT_NE(tiles, std::string::npos) << foreign[first];
+  foreign[first].replace(tiles, 10, "\"tiles\":7,");
+  std::vector<std::string> duplicated = lines;  // point 0 twice
+  duplicated.insert(duplicated.begin() + static_cast<long>(first) + 1,
+                    lines[first]);
+
+  struct Case {
+    std::string label;
+    std::string tmp_text;  // the interrupted run's FILE.tmp
+    std::string expected;
+  };
+  for (const Case& c :
+       {Case{"foreign params", join(foreign), "does not match"},
+        Case{"duplicate index", join(duplicated), "twice"}}) {
+    std::remove(path.c_str());
+    write_file(path + ".tmp", c.tmp_text);
+    const CliResult result =
+        run_cli(std::string(kSweepArgs) + " --resume --out " + path);
+    EXPECT_EQ(result.exit_code, 1) << c.label << "\n" << result.output;
+    EXPECT_NE(result.output.find(c.expected), std::string::npos)
+        << c.label << "\n" << result.output;
+    EXPECT_EQ(read_file(path + ".tmp"), c.tmp_text) << c.label;
+    EXPECT_TRUE(read_file(path).empty()) << c.label;
+  }
+
+  // A finished --shard 0/2 FILE resumed as --shard 1/2.
+  std::remove((path + ".tmp").c_str());
+  ASSERT_EQ(run_cli(std::string(kSweepArgs) + " --shard 0/2 --out " + path)
+                .exit_code,
+            0);
+  const std::string shard0 = read_file(path);
+  const CliResult result = run_cli(std::string(kSweepArgs) +
+                                   " --shard 1/2 --resume --out " + path);
+  EXPECT_EQ(result.exit_code, 1) << result.output;
+  EXPECT_NE(result.output.find("metadata mismatch"), std::string::npos)
+      << result.output;
+  EXPECT_EQ(read_file(path), shard0);
+  EXPECT_TRUE(read_file(path + ".tmp").empty());
+
+  std::remove(full_path.c_str());
+  std::remove(path.c_str());
 }
 
 TEST(CliResume, FrontierStrategyRejectsResume) {
@@ -376,6 +452,43 @@ TEST(CliResume, MergeRejectsMixedStrategyShards) {
 
   std::remove(halving_path.c_str());
   std::remove(one_shot_path.c_str());
+}
+
+// --merge --out writes through a temp file: a write the file-size limit
+// cuts short exits 1 naming the file and publishes nothing.
+TEST(CliMerge, OutFailureExitsNonZeroAndPublishesNothing) {
+  const std::string dir = ::testing::TempDir();
+  const std::string s0 = dir + "merge_limit0.json";
+  const std::string s1 = dir + "merge_limit1.json";
+  const std::string merged = dir + "merge_limit_out.json";
+  ASSERT_EQ(run_cli(std::string(kSweepArgs) + " --shard 0/2 --out " + s0)
+                .exit_code,
+            0);
+  ASSERT_EQ(run_cli(std::string(kSweepArgs) + " --shard 1/2 --out " + s1)
+                .exit_code,
+            0);
+  std::remove(merged.c_str());
+  // 1 block = 512 bytes: far below the merged document.
+  const CliResult result =
+      run_shell("trap '' XFSZ; ulimit -f 1; " +
+                std::string(SIMPHONY_CLI_PATH) + " --merge " + s0 + " " + s1 +
+                " --out " + merged);
+  EXPECT_EQ(result.exit_code, 1) << result.output;
+  EXPECT_NE(result.output.find(merged), std::string::npos) << result.output;
+  EXPECT_TRUE(read_file(merged).empty());
+
+  // Without the limit the same merge publishes the stdout document.
+  ASSERT_EQ(run_cli("--merge " + s0 + " " + s1 + " --out " + merged)
+                .exit_code,
+            0);
+  const CliResult stdout_merge = run_shell(
+      std::string(SIMPHONY_CLI_PATH) + " --merge " + s0 + " " + s1 +
+      " 2>/dev/null");
+  EXPECT_EQ(read_file(merged), stdout_merge.output);
+
+  for (const std::string& file : {s0, s1, merged, merged + ".tmp"}) {
+    std::remove(file.c_str());
+  }
 }
 
 TEST(CliResume, CacheFileRoundTripsAndReportsTheWarmLoad) {

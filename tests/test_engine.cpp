@@ -11,9 +11,12 @@
 #include <condition_variable>
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <mutex>
+#include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #ifdef SIMPHONY_CLI_PATH
@@ -321,6 +324,157 @@ TEST(EngineWarmCache, SimulateReusesTheSharedCacheAcrossRequests) {
   EXPECT_EQ(warm.cache.misses, 0u);
   EXPECT_GE(warm.cache.hit_rate(), 0.9);
   EXPECT_EQ(warm.to_json().dump(-1), cold.to_json().dump(-1));
+}
+
+// ------------------------------------------- resume and merge in core
+
+/// A six-point costed sweep without the shared cost cache, so whole
+/// responses (not just results) compare across resumed and merged runs.
+ExploreRequest resumable_sweep(int threads) {
+  ExploreRequest request = costed_sweep();
+  request.space.wavelengths = {1, 2, 4};
+  request.base.cost_cache = false;
+  request.base.num_threads = threads;
+  return request;
+}
+
+/// One explore streamed through an in-memory DseShardWriter that
+/// on_start opens (what the CLI's --out does), with the on_point order.
+struct StreamedExplore {
+  ExploreResponse response;
+  std::string text;          // the writer's published document
+  std::vector<size_t> seen;  // on_point indices, in call order
+};
+
+StreamedExplore explore_streamed(const ExploreRequest& request,
+                                 const ShardRecovery* resume = nullptr) {
+  StreamedExplore out;
+  std::stringstream stream;
+  std::unique_ptr<DseShardWriter> writer;
+  Engine::ExploreHooks hooks;
+  hooks.resume = resume;
+  hooks.on_start = [&](const DseShardWriter::Metadata& header) {
+    writer = std::make_unique<DseShardWriter>(stream, header);
+  };
+  hooks.on_point = [&](const DsePoint& point) {
+    out.seen.push_back(point.index);
+    writer->add_point(point);
+  };
+  Engine engine;
+  out.response = engine.explore(request, hooks);
+  writer->finish();
+  out.text = stream.str();
+  return out;
+}
+
+TEST(EngineResume, ResumedExploreIsBitIdenticalAndReplaysRecoveredFirst) {
+  for (int threads : {1, 4}) {
+    const ExploreRequest request = resumable_sweep(threads);
+    const StreamedExplore full = explore_streamed(request);
+    // An interrupted run's document, torn at 60%.
+    const ShardRecovery recovery = recover_shard_text(
+        full.text.substr(0, full.text.size() * 3 / 5), "interrupted.json");
+    ASSERT_FALSE(recovery.result.points.empty()) << threads;
+    ASSERT_LT(recovery.result.points.size(), full.seen.size()) << threads;
+
+    const StreamedExplore resumed = explore_streamed(request, &recovery);
+    EXPECT_EQ(resumed.response.to_json().dump(-1),
+              full.response.to_json().dump(-1))
+        << threads;
+    EXPECT_EQ(resumed.text, full.text) << threads;
+    ASSERT_EQ(resumed.seen.size(), full.seen.size()) << threads;
+    for (size_t i = 0; i < recovery.result.points.size(); ++i) {
+      EXPECT_EQ(resumed.seen[i], recovery.result.points[i].index)
+          << "threads=" << threads << " i=" << i;
+    }
+  }
+}
+
+TEST(EngineResume, ForeignRecoveriesThrowBeforeOnStart) {
+  const ExploreRequest request = resumable_sweep(1);
+  const ShardRecovery good =
+      recover_shard_text(explore_streamed(request).text, "run.json");
+  ASSERT_EQ(good.result.points.size(), 6u);
+
+  ShardRecovery header = good;
+  header.metadata.strategy = "halving";
+  ShardRecovery foreign = good;
+  foreign.result.points[2].params.tiles = 99;
+  ShardRecovery duplicate = good;
+  duplicate.result.points.push_back(good.result.points[0]);
+  const std::vector<std::pair<const ShardRecovery*, std::string>> cases = {
+      {&header, "metadata mismatch"},
+      {&foreign, "point 2 does not match"},
+      {&duplicate, "index 0 twice"}};
+  for (const auto& [recovery, expected] : cases) {
+    bool started = false;
+    Engine::ExploreHooks hooks;
+    hooks.resume = recovery;
+    hooks.on_start = [&](const DseShardWriter::Metadata&) { started = true; };
+    Engine engine;
+    try {
+      (void)engine.explore(request, hooks);
+      ADD_FAILURE() << "accepted: " << expected;
+    } catch (const std::invalid_argument& error) {
+      const std::string what = error.what();
+      EXPECT_NE(what.find("run.json"), std::string::npos) << what;
+      EXPECT_NE(what.find(expected), std::string::npos) << what;
+    }
+    EXPECT_FALSE(started) << expected;
+  }
+}
+
+TEST(EngineMerge, ShardDocumentsMergeToTheUnshardedResponse) {
+  const ExploreRequest request = resumable_sweep(1);
+  const StreamedExplore whole = explore_streamed(request);
+  ExploreRequest first = request;
+  first.shard = DseShard{0, 2};
+  ExploreRequest second = request;
+  second.shard = DseShard{1, 2};
+  // A --out shard file and a --json response document, in either order.
+  const std::string out_file = explore_streamed(first).text;
+  const std::string json_doc =
+      explore_streamed(second).response.to_json().dump(2);
+  for (const bool reversed : {false, true}) {
+    std::vector<std::pair<std::string, std::string>> documents = {
+        {"s0.json", out_file}, {"s1.json", json_doc}};
+    if (reversed) std::swap(documents[0], documents[1]);
+    EXPECT_EQ(merge_sweep_documents(documents).to_json().dump(2),
+              whole.response.to_json().dump(2))
+        << reversed;
+  }
+}
+
+TEST(EngineMerge, ErrorsNameTheirDocuments) {
+  EXPECT_THROW((void)merge_sweep_documents({}), std::invalid_argument);
+
+  ExploreRequest request = resumable_sweep(1);
+  request.shard = DseShard{0, 2};
+  const std::string shard0 = explore_streamed(request).text;
+  const std::string overlap = error_of([&] {
+    (void)merge_sweep_documents({{"first.json", shard0},
+                                 {"second.json", shard0}});
+  });
+  EXPECT_NE(overlap.find("appears in both first.json and second.json"),
+            std::string::npos)
+      << overlap;
+
+  ExploreRequest other = request;
+  other.shard = DseShard{1, 2};
+  other.space.wavelengths = {1, 2};  // a different point list
+  const std::string mismatch = error_of([&] {
+    (void)merge_sweep_documents(
+        {{"first.json", shard0}, {"other.json", explore_streamed(other).text}});
+  });
+  EXPECT_NE(mismatch.find("other.json"), std::string::npos) << mismatch;
+  EXPECT_NE(mismatch.find("different sweep than first.json"),
+            std::string::npos)
+      << mismatch;
+
+  const std::string torn = error_of([&] {
+    (void)merge_sweep_documents({{"torn.json", shard0.substr(0, 40)}});
+  });
+  EXPECT_EQ(torn.rfind("torn.json: ", 0), 0u) << torn;
 }
 
 // --------------------------------------------------- CLI byte-identity

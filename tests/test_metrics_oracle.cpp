@@ -176,6 +176,69 @@ TEST(MetricsOracle, ShardFilesAndMergeByteIdentical) {
                      "merge");
 }
 
+// The --merge stdout of five more shard pairs, recorded before merge
+// moved from the CLI into core::merge_sweep_documents: each header field
+// the merge carries (strategy knobs, "distinct", "aggregate",
+// "objective"), and --json shard documents whose per-run "cost_cache"
+// and "rung_stats" sections the merge drops.
+void expect_merge_matches_golden(const std::string& args, bool json_shards,
+                                 const std::string& name) {
+  const std::string dir = ::testing::TempDir();
+  const std::string sink = json_shards ? " --json > " : " --out ";
+  std::string files;
+  for (const std::string shard : {"0", "1"}) {
+    const std::string path = dir + "/merge_pair" + shard + ".json";
+    const CliResult result =
+        run_cli(args + " --shard " + shard + "/2" + sink + path);
+    ASSERT_EQ(result.exit_code, 0) << name;
+    files += " " + path;
+  }
+  const CliResult merged = run_cli("--merge" + files);
+  ASSERT_EQ(merged.exit_code, 0) << name;
+  const std::string golden_dir = SIMPHONY_METRICS_GOLDEN_DIR;
+  const std::string want = read_file(golden_dir + "/../merge/" + name);
+  expect_bytes_equal(merged.output, want, name);
+  std::remove((dir + "/merge_pair0.json").c_str());
+  std::remove((dir + "/merge_pair1.json").c_str());
+}
+
+TEST(MetricsOracle, MergedShardPairsByteIdentical) {
+  const std::string greedy = kSweep + " --mapping greedy";
+  const std::string halving = greedy + " --strategy halving --eta 2";
+  const std::string random =
+      kSweep + " --sweep size=4,8 --sample random --samples 5 --seed 9";
+  const std::string batch =
+      "--model mlp --model gemm:64x32x64 --arch scatter,mzi "
+      "--sweep tiles=1,2 --sweep wavelengths=1,2 --mapping greedy "
+      "--aggregate max";
+  const std::string objective = greedy + " --objective '0.6*edp+0.4*area'";
+  expect_merge_matches_golden(halving, false, "merged_halving_greedy_edp.json");
+  expect_merge_matches_golden(random, false, "merged_random.json");
+  expect_merge_matches_golden(batch, false, "merged_batch_max_greedy_edp.json");
+  expect_merge_matches_golden(objective, false,
+                              "merged_weighted_objective.json");
+  expect_merge_matches_golden(halving, true, "merged_json_shards.json");
+}
+
+// Frontier --out headers carry refine_rounds, like the --json document,
+// so the merge of a frontier file reports the knob too.
+TEST(MetricsOracle, FrontierOutHeaderAndMergeCarryRefineRounds) {
+  const std::string out = ::testing::TempDir() + "/metrics_frontier.json";
+  const std::string args =
+      kSweep + " --strategy frontier --refine-rounds 2 --out " + out;
+  const CliResult json = run_cli(args + " --json");
+  ASSERT_EQ(json.exit_code, 0);
+  const std::string header =
+      "\"strategy\": {\"name\": \"frontier\", \"refine_rounds\": 2}";
+  EXPECT_NE(read_file(out).find(header), std::string::npos);
+  const CliResult merged = run_cli("--merge " + out);
+  ASSERT_EQ(merged.exit_code, 0);
+  for (const std::string& document : {json.output, merged.output}) {
+    EXPECT_NE(document.find("\"refine_rounds\": 2"), std::string::npos);
+  }
+  std::remove(out.c_str());
+}
+
 }  // namespace
 
 #endif  // SIMPHONY_CLI_PATH && SIMPHONY_METRICS_GOLDEN_DIR
