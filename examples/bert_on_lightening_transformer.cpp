@@ -39,7 +39,8 @@ int main() {
   core::Simulator sim(std::move(system));
 
   workload::Model model = workload::bert_base_image224();
-  const double quant_err = workload::convert_model_in_place(model);
+  const double quant_err = workload::max_quantization_error(model);
+  workload::convert_model_in_place(model);
   std::cout << "ONN conversion: max quantization error "
             << util::Table::fmt(quant_err, 4) << " at 4-bit weights\n";
 

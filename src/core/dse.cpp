@@ -1266,31 +1266,24 @@ std::vector<std::shared_ptr<const arch::PtcTemplate>> share_templates(
   return shared_templates;
 }
 
-}  // namespace
-
-DseResult explore(const std::vector<arch::PtcTemplate>& ptc_templates,
-                  const devlib::DeviceLibrary& lib,
-                  const workload::Model& model, const DseSpace& space,
-                  const DseOptions& options,
-                  const std::function<void(const DsePoint&)>& progress) {
-  // Hoisted per-point invariants: shared templates, one GEMM extraction.
+/// The single-workload sweep over pre-extracted GEMMs.  `keys` holds their
+/// fingerprints (a sweep with no swept bit axis costs the identical GEMMs
+/// at every point, so they are computed once per workload), or is null.
+DseResult explore_gemms(
+    const std::vector<arch::PtcTemplate>& ptc_templates,
+    const devlib::DeviceLibrary& lib,
+    const std::vector<workload::GemmWorkload>& base_gemms,
+    const uint64_t* keys, const DseSpace& space, const DseOptions& options,
+    const std::function<void(const DsePoint&)>& progress) {
   const std::vector<std::shared_ptr<const arch::PtcTemplate>>
       shared_templates = share_templates(ptc_templates);
-  const std::vector<workload::GemmWorkload> base_gemms =
-      workload::extract_gemms(model);
   const bool override_input_bits = !space.input_bits.empty();
   const bool override_output_bits = !space.output_bits.empty();
-  // With no swept bit axis every point costs the identical GEMMs, so the
-  // workload-side cache fingerprints (which content-hash the weight
-  // tensors) are computed once for the whole sweep instead of per point.
-  std::vector<uint64_t> base_keys;
-  if (options.cost_cache != nullptr && !override_input_bits &&
-      !override_output_bits) {
-    base_keys.reserve(base_gemms.size());
-    for (const auto& gemm : base_gemms) {
-      base_keys.push_back(gemm_fingerprint(gemm));
-    }
-  }
+  const uint64_t* base_keys =
+      options.cost_cache != nullptr && !override_input_bits &&
+              !override_output_bits
+          ? keys
+          : nullptr;
   const bool want_p99 = options.objective.references(Metric::kP99Latency);
   return run_engine(
       space, options, progress,
@@ -1304,10 +1297,38 @@ DseResult explore(const std::vector<arch::PtcTemplate>& ptc_templates,
                 : options.mapper;
         return evaluate_point(shared_templates, lib, base_gemms, params,
                               override_input_bits, override_output_bits,
-                              mapper, options.cost_cache,
-                              base_keys.empty() ? nullptr : base_keys.data(),
+                              mapper, options.cost_cache, base_keys,
                               want_p99);
       });
+}
+
+}  // namespace
+
+DseResult explore(const std::vector<arch::PtcTemplate>& ptc_templates,
+                  const devlib::DeviceLibrary& lib,
+                  const workload::Model& model, const DseSpace& space,
+                  const DseOptions& options,
+                  const std::function<void(const DsePoint&)>& progress) {
+  const std::vector<workload::GemmWorkload> gemms =
+      workload::extract_gemms(model);
+  std::vector<uint64_t> keys;
+  if (options.cost_cache != nullptr) {
+    keys.reserve(gemms.size());
+    for (const auto& gemm : gemms) keys.push_back(gemm_fingerprint(gemm));
+  }
+  return explore_gemms(ptc_templates, lib, gemms,
+                       keys.empty() ? nullptr : keys.data(), space, options,
+                       progress);
+}
+
+DseResult explore(const std::vector<arch::PtcTemplate>& ptc_templates,
+                  const devlib::DeviceLibrary& lib,
+                  const WorkloadSet::Entry& workload, const DseSpace& space,
+                  const DseOptions& options,
+                  const std::function<void(const DsePoint&)>& progress) {
+  return explore_gemms(ptc_templates, lib, workload.gemms,
+                       workload.gemm_fingerprints.data(), space, options,
+                       progress);
 }
 
 DseResult explore(const std::vector<arch::PtcTemplate>& ptc_templates,

@@ -534,6 +534,14 @@ struct ShardRecovery {
     const DseSpace& space, const DseOptions& options,
     const std::function<void(const DsePoint&)>& progress = nullptr);
 
+/// The same over one WorkloadSet entry: reuses the GEMMs and fingerprints
+/// the entry computed at add() instead of extracting and hashing again.
+[[nodiscard]] DseResult explore(
+    const std::vector<arch::PtcTemplate>& ptc_templates,
+    const devlib::DeviceLibrary& lib, const WorkloadSet::Entry& workload,
+    const DseSpace& space, const DseOptions& options,
+    const std::function<void(const DsePoint&)>& progress = nullptr);
+
 /// Batched multi-model exploration: every design point constructs the
 /// (possibly heterogeneous) architecture and sizes its device groups
 /// ONCE, then simulates every model of the set on it — the

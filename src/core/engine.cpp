@@ -829,8 +829,8 @@ ExploreResponse Engine::evaluate_explore(const ExploreRequest& request,
   response.result =
       batch ? core::explore(templates, lib_, resolved.workloads, space,
                             options, hooks.on_point)
-            : core::explore(templates, lib_, resolved.workloads.at(0).model,
-                            space, options, hooks.on_point);
+            : core::explore(templates, lib_, resolved.workloads.at(0), space,
+                            options, hooks.on_point);
   // A resumed sweep's result is the merge of the recovered points with
   // the fresh remainder — bit-identical to the uninterrupted run (merge
   // restores canonical order and recomputes the frontier).

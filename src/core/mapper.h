@@ -138,7 +138,8 @@ class CostMatrix {
 /// materialized groups, ArchParams, device library identity, energy
 /// options, and the shared memory hierarchy) and one over the workload
 /// side (GEMM shape, batch, bit widths, dynamic/sparsity flags, and the
-/// weight tensor's *content* — the energy model is data-aware).  Layer
+/// weight values, by recipe or by content — the energy model is
+/// data-aware; see core/fingerprint.h).  Layer
 /// name and sub-arch index are deliberately excluded: identical layers on
 /// identical hardware share one entry, and the Simulator rewrites the
 /// identity fields on every hit.  Only feasible entries are stored:
@@ -184,9 +185,10 @@ class CostMatrixCache {
 
   /// File-format identity of the persistent store (docs/persistence.md):
   /// magic "SPCC" read little-endian, format version bumped on any
-  /// incompatible layout change.
+  /// incompatible layout or key change (version 2: recipe-keyed GEMM
+  /// fingerprints).
   static constexpr uint32_t kFileMagic = 0x43435053u;  // "SPCC"
-  static constexpr uint32_t kFileVersion = 1;
+  static constexpr uint32_t kFileVersion = 2;
 
   /// What load() recovered — and what it had to give up.  Loading never
   /// throws on damaged input: corrupt records are skipped, a truncated

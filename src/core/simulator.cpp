@@ -10,6 +10,7 @@
 #include "util/hash.h"
 #include "util/thread_pool.h"
 #include "workload/gemm.h"
+#include "workload/recipe.h"
 
 namespace simphony::core {
 
@@ -119,8 +120,10 @@ uint64_t finish_subarch_fingerprint(size_t seed,
 /// Workload-side half of the key (declared in core/fingerprint.h so
 /// WorkloadSet::add can pre-compute it once per sweep).  The layer *name*
 /// is deliberately excluded (identical layers share an entry; identity
-/// fields are rewritten at report-assembly time), while the weight
-/// tensor's content is included because the energy model is data-aware.
+/// fields are rewritten at report-assembly time), while the weight values
+/// are included because the energy model is data-aware: by recipe and
+/// slot while the tensor is recipe-backed (nothing is drawn), else by
+/// content.  The two domains carry distinct tags.
 uint64_t gemm_fingerprint(const workload::GemmWorkload& gemm) {
   size_t seed = 0x67656d6d;  // "gemm": decorrelates from the subarch side
   util::hash_combine_value(seed, gemm.n);
@@ -138,9 +141,16 @@ uint64_t gemm_fingerprint(const workload::GemmWorkload& gemm) {
     for (int64_t dim : gemm.weights->shape()) {
       util::hash_combine_value(seed, dim);
     }
-    const std::vector<float>& data = gemm.weights->data();
-    util::hash_combine(
-        seed, util::fnv1a_bytes(data.data(), data.size() * sizeof(float)));
+    if (const workload::WeightSource* source = gemm.weights->source()) {
+      util::hash_combine_value(seed, 0x72656369U);  // "reci"
+      util::hash_combine_value(seed, source->key());
+      util::hash_combine_value(seed, gemm.weights->slot());
+    } else {
+      const std::vector<float>& data = gemm.weights->data();
+      util::hash_combine_value(seed, 0x64617461U);  // "data"
+      util::hash_combine(
+          seed, util::fnv1a_bytes(data.data(), data.size() * sizeof(float)));
+    }
   }
   return static_cast<uint64_t>(seed);
 }

@@ -163,7 +163,7 @@ class Simulator {
   /// instead of copying every chosen LayerReport into a ModelReport.
   /// `gemm_keys` (optional) are precomputed core::gemm_fingerprint values
   /// for `gemms` in order — e.g. WorkloadSet::Entry::gemm_fingerprints —
-  /// sparing the per-call weight-content hashing when a cost cache is
+  /// sparing the per-call weight keying when a cost cache is
   /// attached; pass nullptr to compute them on the fly.
   [[nodiscard]] ModelTotals simulate_gemms_totals(
       const std::vector<workload::GemmWorkload>& gemms, const Mapper& mapper,

@@ -98,13 +98,4 @@ std::vector<WorkloadSpec> workload_specs_from_json(const util::Json& j) {
   return specs;
 }
 
-WorkloadSet workload_set_from_json(const util::Json& j) {
-  WorkloadSet set;
-  for (WorkloadSpec& spec : workload_specs_from_json(j)) {
-    set.add(workload::model_from_spec(spec.spec), std::move(spec.name),
-            spec.weight);
-  }
-  return set;
-}
-
 }  // namespace simphony::core

@@ -11,9 +11,11 @@
 // model of the batch.
 //
 // Entries are immutable and address-stable after add(): each stored
-// Model owns the weight tensors its extracted GemmWorkloads point into,
+// Model holds the weight tensors its extracted GemmWorkloads point into,
 // and lives behind a shared_ptr so growing or copying the set never
-// moves it.
+// moves it.  Adding a built-in model draws no weight: its tensors are
+// recipe-backed (workload/recipe.h) until the energy walk of a cost-cache
+// miss first reads them.
 #pragma once
 
 #include <cstdint>
@@ -39,12 +41,12 @@ class WorkloadSet {
     std::string name;    // unique within the set; labels per-model rows
     double weight = 1.0; // used by BatchAggregate::kWeighted
     workload::Model model;
-    /// extract_gemms(model), computed once at add(); the weight tensors
+    /// extract_gemms(model), computed once at add(); the weight pointers
     /// point into `model` above (same lifetime as this Entry).
     std::vector<workload::GemmWorkload> gemms;
     /// core::gemm_fingerprint of each GEMM (same order as `gemms`),
     /// computed once at add() so a sweep sharing a CostMatrixCache never
-    /// re-hashes the weight tensors per design point.  Valid only for the
+    /// re-keys the weight tensors per design point.  Valid only for the
     /// GEMMs exactly as stored — a caller that overrides bit widths
     /// per-point must re-fingerprint.
     std::vector<uint64_t> gemm_fingerprints;
@@ -76,7 +78,8 @@ class WorkloadSet {
 };
 
 /// One model request parsed from a WorkloadSet JSON document — the
-/// `--models file.json` format:
+/// `--models file.json` format, built by core::resolve_models
+/// (core/engine.h):
 ///
 ///   {"models": [{"spec": "vgg8", "name": "cnn", "weight": 2.0},
 ///               {"spec": "gemm:256x64x256"}]}
@@ -90,15 +93,11 @@ struct WorkloadSpec {
   double weight = 1.0;
 };
 
-/// Parses the request list without building the (potentially large)
-/// models, so callers can rewrite layer bit-widths or apply conversions
-/// before WorkloadSet::add.  Throws std::invalid_argument on structural
-/// problems (missing "spec", bad weight, wrong types).
+/// Parses the request list without building the models, so callers can
+/// rewrite layer bit-widths or apply conversions before WorkloadSet::add.
+/// Throws std::invalid_argument on structural problems (missing "spec",
+/// bad weight, wrong types).
 [[nodiscard]] std::vector<WorkloadSpec> workload_specs_from_json(
     const util::Json& j);
-
-/// Builds the full set: workload_specs_from_json + model_from_spec + add,
-/// in document order.
-[[nodiscard]] WorkloadSet workload_set_from_json(const util::Json& j);
 
 }  // namespace simphony::core

@@ -34,8 +34,10 @@ struct GemmWorkload {
   /// Fraction of operand-B values pruned to zero.
   double sparsity = 0.0;
 
-  /// Actual operand-B values (normalized), nullptr for dynamic B.  Lifetime
-  /// is owned by the source Model; keep the Model alive while simulating.
+  /// Actual operand-B values (normalized), nullptr for dynamic B.  Points
+  /// at the source Model's layer tensor, so keep the Model alive (and its
+  /// layers unmoved) while simulating; a recipe-backed tensor draws its
+  /// values on the first data() read, not at extraction.
   const Tensor* weights = nullptr;
 
   LayerType source_type = LayerType::kLinear;

@@ -52,9 +52,8 @@ int64_t Layer::weight_count() const {
   }
 }
 
-Layer make_conv2d(std::string name, int in_ch, int out_ch, int kernel,
-                  int in_h, int in_w, util::Rng& rng, int stride,
-                  int padding) {
+Layer conv2d_layer(std::string name, int in_ch, int out_ch, int kernel,
+                   int in_h, int in_w, int stride, int padding) {
   if (in_ch <= 0 || out_ch <= 0 || kernel <= 0 || in_h <= 0 || in_w <= 0) {
     throw std::invalid_argument("conv2d dims must be positive");
   }
@@ -68,18 +67,10 @@ Layer make_conv2d(std::string name, int in_ch, int out_ch, int kernel,
   layer.padding = padding;
   layer.in_height = in_h;
   layer.in_width = in_w;
-  // Kaiming-style init, then normalized to the PTC encoding range.
-  const double stddev =
-      std::sqrt(2.0 / (static_cast<double>(in_ch) * kernel * kernel));
-  layer.weights = Tensor::randn(
-      {out_ch, static_cast<int64_t>(in_ch) * kernel * kernel}, rng, 0.0,
-      stddev);
-  layer.weights.normalize_to(1.0f);
   return layer;
 }
 
-Layer make_linear(std::string name, int in_features, int out_features,
-                  util::Rng& rng) {
+Layer linear_layer(std::string name, int in_features, int out_features) {
   if (in_features <= 0 || out_features <= 0) {
     throw std::invalid_argument("linear dims must be positive");
   }
@@ -88,10 +79,47 @@ Layer make_linear(std::string name, int in_features, int out_features,
   layer.type = LayerType::kLinear;
   layer.in_features = in_features;
   layer.out_features = out_features;
-  const double stddev = std::sqrt(2.0 / static_cast<double>(in_features));
-  layer.weights =
-      Tensor::randn({out_features, in_features}, rng, 0.0, stddev);
+  return layer;
+}
+
+WeightRecipe::Draw weight_init(const Layer& layer) {
+  switch (layer.type) {
+    case LayerType::kConv2d:
+      return {{layer.out_channels,
+               static_cast<int64_t>(layer.in_channels) * layer.kernel *
+                   layer.kernel},
+              std::sqrt(2.0 / (static_cast<double>(layer.in_channels) *
+                               layer.kernel * layer.kernel))};
+    case LayerType::kLinear:
+      return {{layer.out_features, layer.in_features},
+              std::sqrt(2.0 / static_cast<double>(layer.in_features))};
+    default:
+      throw std::invalid_argument("layer '" + layer.name +
+                                  "' has no weights to draw");
+  }
+}
+
+namespace {
+void draw_weights(Layer& layer, util::Rng& rng) {
+  const WeightRecipe::Draw init = weight_init(layer);
+  layer.weights = Tensor::randn(init.shape, rng, 0.0, init.stddev);
   layer.weights.normalize_to(1.0f);
+}
+}  // namespace
+
+Layer make_conv2d(std::string name, int in_ch, int out_ch, int kernel,
+                  int in_h, int in_w, util::Rng& rng, int stride,
+                  int padding) {
+  Layer layer = conv2d_layer(std::move(name), in_ch, out_ch, kernel, in_h,
+                             in_w, stride, padding);
+  draw_weights(layer, rng);
+  return layer;
+}
+
+Layer make_linear(std::string name, int in_features, int out_features,
+                  util::Rng& rng) {
+  Layer layer = linear_layer(std::move(name), in_features, out_features);
+  draw_weights(layer, rng);
   return layer;
 }
 

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "workload/recipe.h"
 #include "workload/tensor.h"
 
 namespace simphony::workload {
@@ -77,6 +78,17 @@ struct Layer {
   /// Number of weight parameters.
   [[nodiscard]] int64_t weight_count() const;
 };
+
+/// Geometry-only factories: `weights` stays empty (model.h binds the
+/// built-in models' layers to a shared WeightSource instead).
+Layer conv2d_layer(std::string name, int in_ch, int out_ch, int kernel,
+                   int in_h, int in_w, int stride = 1, int padding = 1);
+Layer linear_layer(std::string name, int in_features, int out_features);
+
+/// The weight draw of a Conv2d or Linear layer: a Kaiming-style
+/// normal(0, stddev) over the GEMM operand shape, later normalized to the
+/// PTC encoding range.
+[[nodiscard]] WeightRecipe::Draw weight_init(const Layer& layer);
 
 /// Factory helpers that also synthesize deterministic weights.
 Layer make_conv2d(std::string name, int in_ch, int out_ch, int kernel,

@@ -1,6 +1,7 @@
 #include "workload/model.h"
 
 #include <cstdio>
+#include <memory>
 #include <stdexcept>
 
 namespace simphony::workload {
@@ -17,30 +18,47 @@ int64_t Model::total_weights() const {
   return total;
 }
 
-Model vgg8_cifar10(uint64_t seed, double prune_ratio) {
-  util::Rng rng(seed);
-  Model model;
-  model.name = "VGG-8(CIFAR10)";
-  model.layers.push_back(make_conv2d("conv1", 3, 64, 3, 32, 32, rng));
-  model.layers.push_back(make_conv2d("conv2", 64, 64, 3, 32, 32, rng));
-  model.layers.push_back(make_conv2d("conv3", 64, 128, 3, 16, 16, rng));
-  model.layers.push_back(make_conv2d("conv4", 128, 128, 3, 16, 16, rng));
-  model.layers.push_back(make_conv2d("conv5", 128, 256, 3, 8, 8, rng));
-  model.layers.push_back(make_conv2d("conv6", 256, 256, 3, 8, 8, rng));
-  // After three 2x2 poolings: 4 x 4 x 256 = 4096 features.
-  model.layers.push_back(make_linear("fc1", 4096, 512, rng));
-  model.layers.push_back(make_linear("fc2", 512, 10, rng));
-  if (prune_ratio > 0.0) {
-    for (auto& layer : model.layers) {
-      layer.prune_ratio = prune_ratio;
-      layer.weights.prune_smallest(prune_ratio);
-    }
+namespace {
+
+/// Binds every weighted layer of `model`, in layer order, to one shared
+/// WeightSource drawing from Rng(seed) — the draws an eager builder would
+/// make — and marks them pruned by `prune_ratio`.  No value is drawn here.
+Model with_recipe(Model model, uint64_t seed, double prune_ratio = 0.0) {
+  WeightRecipe recipe;
+  recipe.seed = seed;
+  recipe.prune_ratio = prune_ratio;
+  std::vector<Layer*> weighted;
+  for (Layer& layer : model.layers) {
+    if (layer.weight_count() == 0) continue;
+    recipe.draws.push_back(weight_init(layer));
+    weighted.push_back(&layer);
+  }
+  const auto source = std::make_shared<const WeightSource>(std::move(recipe));
+  for (size_t slot = 0; slot < weighted.size(); ++slot) {
+    weighted[slot]->weights = Tensor(source, slot);
+    if (prune_ratio > 0.0) weighted[slot]->prune_ratio = prune_ratio;
   }
   return model;
 }
 
+}  // namespace
+
+Model vgg8_cifar10(uint64_t seed, double prune_ratio) {
+  Model model;
+  model.name = "VGG-8(CIFAR10)";
+  model.layers.push_back(conv2d_layer("conv1", 3, 64, 3, 32, 32));
+  model.layers.push_back(conv2d_layer("conv2", 64, 64, 3, 32, 32));
+  model.layers.push_back(conv2d_layer("conv3", 64, 128, 3, 16, 16));
+  model.layers.push_back(conv2d_layer("conv4", 128, 128, 3, 16, 16));
+  model.layers.push_back(conv2d_layer("conv5", 128, 256, 3, 8, 8));
+  model.layers.push_back(conv2d_layer("conv6", 256, 256, 3, 8, 8));
+  // After three 2x2 poolings: 4 x 4 x 256 = 4096 features.
+  model.layers.push_back(linear_layer("fc1", 4096, 512));
+  model.layers.push_back(linear_layer("fc2", 512, 10));
+  return with_recipe(std::move(model), seed, prune_ratio);
+}
+
 Model bert_base_image224(uint64_t seed) {
-  util::Rng rng(seed);
   Model model;
   model.name = "BERT-Base(ImageNet-224)";
   constexpr int kLayers = 12;
@@ -50,7 +68,7 @@ Model bert_base_image224(uint64_t seed) {
   constexpr int kFfn = 3072;
   constexpr int kSeq = 197;  // 14x14 patches + [CLS]
   auto seq_linear = [&](const std::string& name, int in, int out) {
-    Layer layer = make_linear(name, in, out, rng);
+    Layer layer = linear_layer(name, in, out);
     layer.mm_m = kSeq;  // applied to every token of the sequence
     return layer;
   };
@@ -67,14 +85,13 @@ Model bert_base_image224(uint64_t seed) {
     model.layers.push_back(seq_linear(p + "ffn1", kHidden, kFfn));
     model.layers.push_back(seq_linear(p + "ffn2", kFfn, kHidden));
   }
-  return model;
+  return with_recipe(std::move(model), seed);
 }
 
 Model resnet20_cifar10(uint64_t seed, double prune_ratio) {
-  util::Rng rng(seed);
   Model model;
   model.name = "ResNet-20(CIFAR10)";
-  model.layers.push_back(make_conv2d("stem", 3, 16, 3, 32, 32, rng));
+  model.layers.push_back(conv2d_layer("stem", 3, 16, 3, 32, 32));
   struct Stage {
     int channels;
     int size;
@@ -87,53 +104,39 @@ Model resnet20_cifar10(uint64_t seed, double prune_ratio) {
           "s" + std::to_string(s + 1) + "b" + std::to_string(b + 1) + ".";
       const bool downsample = (s > 0 && b == 0);
       const int in_size = downsample ? stages[s].size * 2 : stages[s].size;
-      model.layers.push_back(make_conv2d(p + "conv1", in_ch,
-                                         stages[s].channels, 3, in_size,
-                                         in_size, rng,
-                                         downsample ? 2 : 1));
-      model.layers.push_back(make_conv2d(p + "conv2", stages[s].channels,
-                                         stages[s].channels, 3,
-                                         stages[s].size, stages[s].size,
-                                         rng));
+      model.layers.push_back(conv2d_layer(p + "conv1", in_ch,
+                                          stages[s].channels, 3, in_size,
+                                          in_size, downsample ? 2 : 1));
+      model.layers.push_back(conv2d_layer(p + "conv2", stages[s].channels,
+                                          stages[s].channels, 3,
+                                          stages[s].size, stages[s].size));
       in_ch = stages[s].channels;
     }
   }
-  model.layers.push_back(make_linear("fc", 64, 10, rng));
-  if (prune_ratio > 0.0) {
-    for (auto& layer : model.layers) {
-      layer.prune_ratio = prune_ratio;
-      layer.weights.prune_smallest(prune_ratio);
-    }
-  }
-  return model;
+  model.layers.push_back(linear_layer("fc", 64, 10));
+  return with_recipe(std::move(model), seed, prune_ratio);
 }
 
 Model mlp_mnist(uint64_t seed) {
-  util::Rng rng(seed);
   Model model;
   model.name = "MLP(MNIST)";
-  model.layers.push_back(make_linear("fc1", 784, 256, rng));
-  model.layers.push_back(make_linear("fc2", 256, 128, rng));
-  model.layers.push_back(make_linear("fc3", 128, 10, rng));
-  return model;
+  model.layers.push_back(linear_layer("fc1", 784, 256));
+  model.layers.push_back(linear_layer("fc2", 256, 128));
+  model.layers.push_back(linear_layer("fc3", 128, 10));
+  return with_recipe(std::move(model), seed);
 }
 
 Model single_gemm_model(int n, int d, int m, uint64_t seed,
                         double prune_ratio) {
-  util::Rng rng(seed);
   Model model;
   model.name = "GEMM(" + std::to_string(n) + "x" + std::to_string(d) + ")x(" +
                std::to_string(d) + "x" + std::to_string(m) + ")";
-  Layer layer = make_linear("gemm", d, m, rng);
+  Layer layer = linear_layer("gemm", d, m);
   // A Linear over a batch of n input rows is exactly the (NxD)x(DxM) GEMM;
   // the batch is encoded through gemm extraction (gemm.h) via `mm_m`.
   layer.mm_m = n;
-  if (prune_ratio > 0.0) {
-    layer.prune_ratio = prune_ratio;
-    layer.weights.prune_smallest(prune_ratio);
-  }
   model.layers.push_back(layer);
-  return model;
+  return with_recipe(std::move(model), seed, prune_ratio);
 }
 
 Model model_from_spec(const std::string& spec) {

@@ -3,6 +3,10 @@
 //   * BERT-Base on a single 224x224 ImageNet image, patch-tokenized
 //     (Fig. 8 validation against Lightening-Transformer)
 //   * a raw GEMM "model" for the (280x28)x(28x280) validation task (Fig. 7)
+//
+// The builders return shapes plus one WeightSource per model
+// (recipe.h): the synthetic weights are drawn on first read, with the
+// values an eager draw in layer order would give.
 #pragma once
 
 #include <string>

@@ -29,12 +29,22 @@ enum class WeightMode {
 /// Symmetric uniform quantization of values in [-1, 1] to a 2^bits - 1
 /// level grid (zero-preserving, so pruning masks survive quantization).
 [[nodiscard]] Tensor quantize(const Tensor& t, int bits);
+/// The same, rewriting `t` (which then owns its values).
+void quantize_in_place(Tensor& t, int bits);
 
 /// Translate normalized matrix values into the requested device domain.
 [[nodiscard]] Tensor convert_weights(const Tensor& t, WeightMode mode);
 
 /// Per-layer conversion applied in place: quantize weights to
-/// layer.weight_bits.  Returns the max quantization error observed.
-double convert_model_in_place(Model& model);
+/// layer.weight_bits.  Recipe-backed weights (recipe.h) only record the
+/// pass — no value is drawn or read — and stay keyed by recipe; owned
+/// weights are quantized at once.
+void convert_model_in_place(Model& model);
+
+/// Largest |quantize(w, layer.weight_bits) - w| over every layer's
+/// current weights: the error convert_model_in_place is about to
+/// introduce (0 on an already converted model).  Reads, and so
+/// materializes, every weight.
+[[nodiscard]] double max_quantization_error(const Model& model);
 
 }  // namespace simphony::workload

@@ -24,6 +24,7 @@
 
 #include "arch/prebuilt.h"
 #include "core/dse.h"
+#include "core/engine.h"
 #include "core/simulator.h"
 #include "workload/onn_convert.h"
 
@@ -105,37 +106,39 @@ TEST(WorkloadSet, RejectsDuplicateNamesAndBadWeights) {
   EXPECT_THROW((void)set.at(1), std::out_of_range);
 }
 
+/// A `--models` document built the way every surface builds it:
+/// workload_specs_from_json, then resolve_models.
+WorkloadSet workloads_from_json(const std::string& text) {
+  SimulateRequest request;
+  request.models = workload_specs_from_json(util::Json::parse(text));
+  return resolve_models(request).workloads;
+}
+
 TEST(WorkloadSet, ParsesJsonDocument) {
-  const util::Json doc = util::Json::parse(
+  const WorkloadSet set = workloads_from_json(
       R"({"models": [{"spec": "mlp", "name": "tiny", "weight": 2.5},
                      {"spec": "gemm:64x32x64"}]})");
-  const WorkloadSet set = workload_set_from_json(doc);
   ASSERT_EQ(set.size(), 2u);
   EXPECT_EQ(set.at(0).name, "tiny");
   EXPECT_EQ(set.at(0).weight, 2.5);
   EXPECT_EQ(set.at(1).name, "GEMM(64x32)x(32x64)");
   EXPECT_EQ(set.at(1).weight, 1.0);
   // A bare array works too.
-  EXPECT_EQ(workload_set_from_json(
-                util::Json::parse(R"([{"spec": "mlp"}])"))
-                .size(),
-            1u);
+  EXPECT_EQ(workloads_from_json(R"([{"spec": "mlp"}])").size(), 1u);
 }
 
 TEST(WorkloadSet, JsonErrorPaths) {
-  EXPECT_THROW((void)workload_set_from_json(util::Json::parse("{}")),
+  EXPECT_THROW((void)workloads_from_json("{}"), std::invalid_argument);
+  EXPECT_THROW((void)workloads_from_json(R"({"models": []})"),
                std::invalid_argument);
-  EXPECT_THROW((void)workload_set_from_json(util::Json::parse(
-                   R"({"models": []})")),
-               std::invalid_argument);
-  EXPECT_THROW((void)workload_set_from_json(util::Json::parse(
-                   R"({"models": [{"name": "missing-spec"}]})")),
-               std::invalid_argument);
-  EXPECT_THROW((void)workload_set_from_json(util::Json::parse(
-                   R"({"models": [{"spec": "no-such-model"}]})")),
-               std::invalid_argument);
-  EXPECT_THROW((void)workload_set_from_json(util::Json::parse(
-                   R"({"models": [{"spec": "mlp", "weight": -2}]})")),
+  EXPECT_THROW(
+      (void)workloads_from_json(R"({"models": [{"name": "missing-spec"}]})"),
+      std::invalid_argument);
+  EXPECT_THROW(
+      (void)workloads_from_json(R"({"models": [{"spec": "no-such-model"}]})"),
+      std::invalid_argument);
+  EXPECT_THROW((void)workloads_from_json(
+                   R"({"models": [{"spec": "mlp", "weight": -2}]})"),
                std::invalid_argument);
   // Trailing junk in a gemm spec is rejected, not truncated.
   EXPECT_THROW((void)workload::model_from_spec("gemm:64x32x64x9"),

@@ -184,6 +184,48 @@ TEST(CacheStore, WrongMagicOrVersionStartsColdWithAWarning) {
   EXPECT_EQ(cache.size(), 0u);
 }
 
+/// `bytes` (a saved image) re-framed under format version `version`.
+std::string restamped(const std::string& bytes, uint32_t version) {
+  std::string out;
+  util::MemoryOutputStream stream(out);
+  util::RecordWriter writer(stream, CostMatrixCache::kFileMagic, version);
+  util::RecordReader reader(bytes);
+  EXPECT_TRUE(reader.header_ok(CostMatrixCache::kFileMagic));
+  std::string_view payload;
+  while (reader.next(&payload) == util::RecordStatus::kOk) {
+    writer.write_record(payload);
+  }
+  return out;
+}
+
+// Version 2 keys built-in models' GEMMs by weight recipe, so a version-1
+// image's entries sit under keys no lookup produces any more: it must
+// load cold (with the warning), and the next save writes version 2.
+TEST(CacheStore, VersionOneImageLoadsColdAndIsResavedAsVersionTwo) {
+  ASSERT_EQ(CostMatrixCache::kFileVersion, 2u);
+  CostMatrixCache original;
+  fill_synthetic(original, 3);
+  const std::string v1 = restamped(save_bytes(original), 1);
+  ASSERT_EQ(util::RecordReader(v1).version(), 1u);
+
+  CostMatrixCache cache;
+  const auto report = load_bytes(cache, v1);
+  EXPECT_TRUE(report.found);
+  EXPECT_TRUE(report.version_mismatch);
+  EXPECT_FALSE(report.clean());
+  EXPECT_EQ(report.loaded, 0u);
+  EXPECT_NE(report.message.find("SPCC v2"), std::string::npos)
+      << report.message;
+  EXPECT_EQ(cache.size(), 0u);
+
+  fill_synthetic(cache, 3);
+  const std::string resaved = save_bytes(cache);
+  util::RecordReader reader(resaved);
+  EXPECT_TRUE(reader.header_ok(CostMatrixCache::kFileMagic));
+  EXPECT_EQ(reader.version(), 2u);
+  EXPECT_EQ(entry_payloads(resaved), entry_payloads(save_bytes(original)));
+}
+
 TEST(CacheStore, UnknownRecordKindsAreSkippedForForwardCompat) {
   CostMatrixCache original;
   fill_synthetic(original, 2);

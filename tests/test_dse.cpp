@@ -146,6 +146,35 @@ TEST(Dse, ParallelIsBitIdenticalToSerial) {
   }
 }
 
+// The Engine explores a resolved WorkloadSet entry through its stored
+// GEMMs and fingerprints; that must be the Model overload, byte for byte,
+// with and without a cost cache and with a swept bit axis.
+TEST(Dse, WorkloadSetEntryOverloadMatchesTheModelOverload) {
+  WorkloadSet set;
+  const WorkloadSet::Entry& entry = set.add(workload::mlp_mnist());
+  const std::vector<arch::PtcTemplate> templates = {
+      arch::scatter_template(), arch::clements_mzi_template()};
+  const GreedyMapper mapper;
+  for (const bool swept_bits : {false, true}) {
+    DseSpace space;
+    space.tiles = {1, 2};
+    space.wavelengths = {2, 4};
+    if (swept_bits) space.input_bits = {4, 8};
+    CostMatrixCache model_cache;
+    CostMatrixCache entry_cache;
+    DseOptions options;
+    options.mapper = &mapper;
+    options.cost_cache = &model_cache;
+    const DseResult by_model =
+        explore(templates, g_lib, entry.model, space, options);
+    options.cost_cache = &entry_cache;
+    const DseResult by_entry = explore(templates, g_lib, entry, space, options);
+    EXPECT_EQ(to_json(by_entry).dump(), to_json(by_model).dump());
+    EXPECT_EQ(entry_cache.stats().misses, model_cache.stats().misses);
+    EXPECT_EQ(entry_cache.stats().hits, model_cache.stats().hits);
+  }
+}
+
 TEST(Dse, CacheReturnsIdenticalPointsForDuplicateParams) {
   DseSpace space;
   space.tiles = {2, 2, 2};

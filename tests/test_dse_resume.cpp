@@ -11,6 +11,7 @@
 #include <sstream>
 #include <string>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #ifdef SIMPHONY_CLI_PATH
@@ -18,6 +19,9 @@
 #endif
 
 #include "arch/prebuilt.h"
+#include "core/mapper.h"
+#include "util/binio.h"
+#include "util/json.h"
 
 namespace simphony::core {
 namespace {
@@ -515,6 +519,65 @@ TEST(CliResume, CacheFileRoundTripsAndReportsTheWarmLoad) {
   std::remove(cache_path.c_str());
   std::remove(out1.c_str());
   std::remove(out2.c_str());
+}
+
+/// Runs the CLI keeping only its stdout.
+CliResult run_cli_stdout(const std::string& args) {
+  return run_shell("(" + std::string(SIMPHONY_CLI_PATH) + " " + args +
+                   " 2>/dev/null)");
+}
+
+/// The cost_cache {hits, misses} of a CLI --json sweep document.
+std::pair<double, double> cache_counts(const std::string& json_text) {
+  const util::Json doc = util::Json::parse(json_text);
+  const util::Json& cache = doc.at("cost_cache");
+  return {cache.at("hits").as_number(), cache.at("misses").as_number()};
+}
+
+// The canonical cold sweep (perfbench's sweep_cold flags) against a cache
+// file this build primed: every one of its 144 (sub-arch, GEMM) pairs
+// hits.  The same file re-stamped as format version 1 starts cold and is
+// re-saved as version 2.
+TEST(CliResume, PrimedCacheFileServesTheCanonicalSweepWithoutAMiss) {
+  const std::string dir = ::testing::TempDir();
+  const std::string cache_path = dir + "canonical_cache.spcc";
+  std::remove(cache_path.c_str());
+  const std::string args =
+      "--model vgg8 --arch scatter,mzi --sweep tiles=1,2,4 "
+      "--sweep wavelengths=1,2,4 --mapping greedy --threads 2 --json "
+      "--cache-file " + cache_path;
+
+  const CliResult cold = run_cli_stdout(args);
+  ASSERT_EQ(cold.exit_code, 0) << cold.output;
+  EXPECT_EQ(cache_counts(cold.output), std::make_pair(0.0, 144.0));
+
+  const CliResult warm = run_cli_stdout(args);
+  ASSERT_EQ(warm.exit_code, 0) << warm.output;
+  EXPECT_EQ(cache_counts(warm.output), std::make_pair(144.0, 0.0));
+
+  const std::string primed = read_file(cache_path);
+  std::string v1;
+  util::MemoryOutputStream stream(v1);
+  util::RecordWriter writer(stream, CostMatrixCache::kFileMagic, 1);
+  util::RecordReader reader(primed);
+  ASSERT_TRUE(reader.header_ok(CostMatrixCache::kFileMagic));
+  ASSERT_EQ(reader.version(), CostMatrixCache::kFileVersion);
+  std::string_view payload;
+  while (reader.next(&payload) == util::RecordStatus::kOk) {
+    writer.write_record(payload);
+  }
+  write_file(cache_path, v1);
+
+  const CliResult stale = run_cli(args);
+  ASSERT_EQ(stale.exit_code, 0) << stale.output;
+  EXPECT_NE(stale.output.find("starting cold"), std::string::npos)
+      << stale.output;
+  EXPECT_EQ(util::RecordReader(read_file(cache_path)).version(),
+            CostMatrixCache::kFileVersion);
+  const CliResult rewarmed = run_cli_stdout(args);
+  ASSERT_EQ(rewarmed.exit_code, 0) << rewarmed.output;
+  EXPECT_EQ(cache_counts(rewarmed.output), std::make_pair(144.0, 0.0));
+  std::remove(cache_path.c_str());
 }
 
 TEST(CliResume, ResumeWithoutOutExitsWithDiagnostic) {

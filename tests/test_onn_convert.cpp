@@ -89,12 +89,14 @@ TEST(ConvertWeights, MatrixAndPhaseAreIdentity) {
 
 TEST(ConvertModel, QuantizesInPlaceAndReportsError) {
   Model model = vgg8_cifar10();
-  const double err = convert_model_in_place(model);
+  const double err = max_quantization_error(model);
+  convert_model_in_place(model);
   EXPECT_GT(err, 0.0);
   EXPECT_LT(err, 1.0 / 7.0);  // half a 4-bit step plus slack
-  // All weights now on the 4-bit grid.
+  // All weights now on the 4-bit grid, which quantizes to itself.
   const float v = model.layers[0].weights.at(0);
   EXPECT_NEAR(v * 7.0, std::round(v * 7.0), 1e-5);
+  EXPECT_EQ(max_quantization_error(model), 0.0);
 }
 
 TEST(ConvertModel, ModeNames) {
