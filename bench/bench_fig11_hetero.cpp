@@ -73,7 +73,7 @@ int main() {
   space.base = params;
   space.tiles = {2, 4};
   space.wavelengths = {1, 2};
-  const core::BranchBoundMapper bnb(core::MappingObjective::kEdp);
+  const core::BranchBoundMapper bnb;
   core::CostMatrixCache cache;
   core::DseOptions options;
   options.mapper = &bnb;

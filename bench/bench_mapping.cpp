@@ -77,7 +77,7 @@ BENCHMARK(BM_MapFixedRules)->Unit(benchmark::kMillisecond);
 
 void BM_MapGreedy(benchmark::State& state) {
   const core::Simulator sim = make_hetero_sim();
-  const core::GreedyMapper greedy(core::MappingObjective::kEdp);
+  const core::GreedyMapper greedy;
   core::ModelReport report;
   for (auto _ : state) {
     report = sim.simulate_model(vgg8_model(), greedy);
@@ -106,8 +106,7 @@ BENCHMARK(BM_MapGreedyWeightedSpec)->Unit(benchmark::kMillisecond);
 
 void BM_MapBeam(benchmark::State& state) {
   const core::Simulator sim = make_hetero_sim();
-  const core::BeamMapper beam(static_cast<size_t>(state.range(0)),
-                              core::MappingObjective::kEdp);
+  const core::BeamMapper beam(static_cast<size_t>(state.range(0)));
   core::ModelReport report;
   for (auto _ : state) {
     report = sim.simulate_model(vgg8_model(), beam);
@@ -119,7 +118,7 @@ BENCHMARK(BM_MapBeam)->Arg(2)->Arg(8)->Arg(32)->Unit(benchmark::kMillisecond);
 
 void BM_MapBranchBound(benchmark::State& state) {
   const core::Simulator sim = make_hetero_sim();
-  const core::BranchBoundMapper bnb(core::MappingObjective::kEdp);
+  const core::BranchBoundMapper bnb;
   core::ModelReport report;
   for (auto _ : state) {
     report = sim.simulate_model(vgg8_model(), bnb);
@@ -137,8 +136,7 @@ void BM_BeamSearchOnly(benchmark::State& state) {
   const auto gemms = workload::extract_gemms(vgg8_model());
   const core::CostMatrix costs = sim.build_cost_matrix(gemms);
   core::MappingProblem problem{&gemms, &costs, costs.num_subarchs()};
-  const core::BeamMapper beam(static_cast<size_t>(state.range(0)),
-                              core::MappingObjective::kEdp);
+  const core::BeamMapper beam(static_cast<size_t>(state.range(0)));
   for (auto _ : state) {
     benchmark::DoNotOptimize(beam.map(problem));
   }
@@ -159,8 +157,7 @@ void BM_BnbSearchOnly(benchmark::State& state) {
   const core::CostMatrix costs = sim.build_cost_matrix(gemms);
   core::MappingProblem problem{&gemms, &costs, costs.num_subarchs()};
   const core::BranchBoundMapper bnb(
-      core::MappingObjective::kEdp,
-      /*num_threads=*/static_cast<int>(state.range(0)));
+      {}, /*num_threads=*/static_cast<int>(state.range(0)));
   core::BranchBoundMapper::Stats stats;
   for (auto _ : state) {
     benchmark::DoNotOptimize(bnb.map_counted(problem, &stats));
@@ -183,7 +180,7 @@ void BM_HeteroSweepCostCache(benchmark::State& state) {
   core::DseSpace space;
   space.wavelengths = {1, 2};
   space.tiles = {2, 4};
-  const core::GreedyMapper greedy(core::MappingObjective::kEdp);
+  const core::GreedyMapper greedy;
   core::CostMatrixCache cache;
   core::DseOptions options;
   options.num_threads = 1;
@@ -223,7 +220,7 @@ void BM_HeteroSweepReloadedCache(benchmark::State& state) {
   core::DseSpace space;
   space.wavelengths = {1, 2};
   space.tiles = {2, 4};
-  const core::GreedyMapper greedy(core::MappingObjective::kEdp);
+  const core::GreedyMapper greedy;
 
   core::CostMatrixCache warm;
   core::DseOptions options;

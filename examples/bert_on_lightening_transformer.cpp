@@ -99,7 +99,7 @@ int main() {
       arch::clements_mzi_template(), params, lib));
   core::Simulator hetero_sim(std::move(hetero));
 
-  const core::GreedyMapper greedy(core::MappingObjective::kEdp);
+  const core::GreedyMapper greedy;
   core::Mapping mapping;
   const core::ModelReport mapped =
       hetero_sim.simulate_model(model, greedy, &mapping);

@@ -58,7 +58,7 @@ int main() {
   sim_options.cost_cache = &cost_cache;
   const core::Simulator sim(make_system(lib), sim_options);
 
-  const core::GreedyMapper mapper(core::MappingObjective::kEdp);
+  const core::GreedyMapper mapper;
   core::BatchOptions batch_options;
   batch_options.num_threads = 0;  // one worker per hardware thread
   const core::BatchReport batch =

@@ -43,9 +43,9 @@ int main() {
   core::Simulator sim(system);
 
   const core::RuleMapper rule_mapper(rules);
-  const core::GreedyMapper greedy(core::MappingObjective::kEdp);
-  const core::BeamMapper beam(/*width=*/8, core::MappingObjective::kEdp);
-  const core::BranchBoundMapper bnb(core::MappingObjective::kEdp);
+  const core::GreedyMapper greedy;
+  const core::BeamMapper beam(/*width=*/8);
+  const core::BranchBoundMapper bnb;
 
   struct Run {
     const char* label;

@@ -312,11 +312,6 @@ size_t DseSpace::size() const {
   return total;
 }
 
-std::vector<arch::ArchParams> GridSampler::sample(
-    const DseSpace& space) const {
-  return space.enumerate();
-}
-
 std::vector<arch::ArchParams> RandomSampler::sample(
     const DseSpace& space) const {
   const ResolvedAxes axes = resolve_axes(space);

@@ -94,15 +94,6 @@ class DseSampler {
       const DseSpace& space) const = 0;
 };
 
-/// Full cross product of the axes — bit-identical to DseSpace::enumerate()
-/// (the engine's default when no sampler is set).
-class GridSampler final : public DseSampler {
- public:
-  [[nodiscard]] std::string name() const override { return "grid"; }
-  [[nodiscard]] std::vector<arch::ArchParams> sample(
-      const DseSpace& space) const override;
-};
-
 /// `samples` points drawn uniformly and independently per axis from a
 /// seeded util::Rng — reproducible run-to-run for a given seed, for
 /// spaces too large to enumerate.
@@ -204,7 +195,7 @@ struct DseOptions : CommonOptions {
 
   /// Optional point-list strategy (random / Latin-hypercube sampling for
   /// spaces too large to enumerate).  Not owned; must outlive the call.
-  /// nullptr = grid enumeration, bit-identical to the pre-sampler engine.
+  /// No sampler = the grid (DseSpace::enumerate() order).
   const DseSampler* sampler = nullptr;
 
   /// Which 1-of-N slice of the point list this process evaluates.  The

@@ -124,18 +124,6 @@ void CostMatrix::set(size_t gemm, size_t subarch,
   entries_[index] = std::move(entry);
 }
 
-double CostMatrix::cost(size_t gemm, size_t subarch,
-                        MappingObjective objective) const {
-  if (gemm >= num_gemms_ || subarch >= num_subarchs_) {
-    throw std::out_of_range("CostMatrix::cost(" + std::to_string(gemm) +
-                            ", " + std::to_string(subarch) +
-                            ") out of range");
-  }
-  const size_t index = gemm * num_subarchs_ + subarch;
-  if (feasible_[index] == 0) return kInfeasible;
-  return objective_value(objective, energy_pJ_[index], latency_ns_[index]);
-}
-
 std::vector<size_t> CostMatrix::feasible_subarchs(size_t gemm) const {
   if (gemm >= num_gemms_) {
     throw std::out_of_range("CostMatrix::feasible_subarchs(" +
@@ -254,9 +242,6 @@ Mapping RuleMapper::map(const MappingProblem& problem) const {
 
 // ----------------------------------------------------------- GreedyMapper
 
-GreedyMapper::GreedyMapper(MappingObjective objective)
-    : objective_(ObjectiveSpec::canned(objective)) {}
-
 GreedyMapper::GreedyMapper(ObjectiveSpec objective)
     : objective_(require_mapper_spec(std::move(objective), "GreedyMapper")) {}
 
@@ -327,10 +312,6 @@ bool candidate_less(const Candidate& a, const Candidate& b,
 }
 
 }  // namespace
-
-BeamMapper::BeamMapper(size_t width, MappingObjective objective,
-                       int num_threads)
-    : BeamMapper(width, ObjectiveSpec::canned(objective), num_threads) {}
 
 BeamMapper::BeamMapper(size_t width, ObjectiveSpec objective, int num_threads)
     : width_(width),
@@ -491,9 +472,7 @@ double bnb_bound(const BnbContext& ctx, size_t depth, double energy,
   // Scoring the component-wise minima is admissible for every
   // mapper-compatible spec: each scored metric is monotone nondecreasing
   // in (E, L) (mapper_compatible rejects the ratios that are not), and
-  // every completion satisfies E >= E_lb and L >= L_lb.  For the canned
-  // objectives mapper_score IS objective_value, so this computes the
-  // legacy latency / energy / EDP bounds bit for bit.
+  // every completion satisfies E >= E_lb and L >= L_lb.
   return ctx.objective->mapper_score(energy + ctx.suffix_min_energy[depth],
                                      latency + ctx.suffix_min_latency[depth]);
 }
@@ -556,10 +535,6 @@ void bnb_dfs(const BnbContext& ctx, size_t depth, double energy,
 }
 
 }  // namespace
-
-BranchBoundMapper::BranchBoundMapper(MappingObjective objective,
-                                     int num_threads)
-    : BranchBoundMapper(ObjectiveSpec::canned(objective), num_threads) {}
 
 BranchBoundMapper::BranchBoundMapper(ObjectiveSpec objective, int num_threads)
     : objective_(
@@ -715,9 +690,6 @@ Mapping BranchBoundMapper::map_counted(const MappingProblem& problem,
 }
 
 // ------------------------------------------------------ ExhaustiveMapper
-
-ExhaustiveMapper::ExhaustiveMapper(MappingObjective objective)
-    : objective_(ObjectiveSpec::canned(objective)) {}
 
 ExhaustiveMapper::ExhaustiveMapper(ObjectiveSpec objective)
     : objective_(

@@ -38,7 +38,6 @@
 #include <limits>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -52,12 +51,6 @@
 #include "workload/gemm.h"
 
 namespace simphony::core {
-
-// MappingObjective, parse_objective, and objective_value moved to
-// core/metrics.h (the unified metric layer).  Every search strategy below
-// now scores through an ObjectiveSpec; the legacy MappingObjective
-// constructors remain and build the canned specs, which score through the
-// original objective_value() switch bit for bit.
 
 /// Simulated cost of every (GEMM, sub-arch) pair, built once per mapping
 /// search so strategies never re-simulate a pair.  Entries keep the full
@@ -99,10 +92,6 @@ class CostMatrix {
 
   /// Stores a shared entry (a CostMatrixCache hit) without copying it.
   void set(size_t gemm, size_t subarch, std::shared_ptr<const Entry> entry);
-
-  /// Per-layer objective value of one pair; +infinity when infeasible.
-  [[nodiscard]] double cost(size_t gemm, size_t subarch,
-                            MappingObjective objective) const;
 
   /// Sub-arch indices able to run a GEMM, ascending.
   [[nodiscard]] std::vector<size_t> feasible_subarchs(size_t gemm) const;
@@ -296,7 +285,8 @@ struct Mapping {
   std::vector<size_t> assignment;  // one sub-arch index per GEMM
   double predicted_energy_pJ = 0.0;
   double predicted_latency_ns = 0.0;
-  /// objective_value() of the predicted totals (0 for costless strategies).
+  /// ObjectiveSpec::mapper_score() of the predicted totals (0 for costless
+  /// strategies).
   double predicted_cost = 0.0;
 };
 
@@ -347,11 +337,8 @@ class RuleMapper final : public Mapper {
 /// index.
 class GreedyMapper final : public Mapper {
  public:
-  explicit GreedyMapper(
-      MappingObjective objective = MappingObjective::kEdp);
-  /// General-spec search; throws std::invalid_argument unless
-  /// objective.mapper_compatible().
-  explicit GreedyMapper(ObjectiveSpec objective);
+  /// Throws std::invalid_argument unless objective.mapper_compatible().
+  explicit GreedyMapper(ObjectiveSpec objective = {});
 
   [[nodiscard]] std::string name() const override { return "greedy"; }
   [[nodiscard]] const ObjectiveSpec& objective() const { return objective_; }
@@ -363,7 +350,7 @@ class GreedyMapper final : public Mapper {
 
 /// Width-k beam search over the layer order.  Each beam state is an
 /// assignment prefix with its (energy, latency) sums; states are scored by
-/// objective_value() of the prefix and pruned to the best k with a
+/// ObjectiveSpec::mapper_score() of the prefix and pruned to the best k with a
 /// deterministic tie-break (score, then lexicographic assignment).
 ///
 /// Exhaustive-equivalence guarantee: with S sub-arches and n GEMMs the
@@ -377,12 +364,9 @@ class GreedyMapper final : public Mapper {
 /// not oversubscribe).
 class BeamMapper final : public Mapper {
  public:
-  explicit BeamMapper(size_t width = 8,
-                      MappingObjective objective = MappingObjective::kEdp,
+  /// Throws std::invalid_argument unless objective.mapper_compatible().
+  explicit BeamMapper(size_t width = 8, ObjectiveSpec objective = {},
                       int num_threads = 1);
-  /// General-spec search; throws std::invalid_argument unless
-  /// objective.mapper_compatible().
-  BeamMapper(size_t width, ObjectiveSpec objective, int num_threads = 1);
 
   [[nodiscard]] std::string name() const override { return "beam"; }
   [[nodiscard]] size_t width() const { return width_; }
@@ -434,14 +418,11 @@ class BranchBoundMapper final : public Mapper {
     double total_assignments = 0.0;
   };
 
-  explicit BranchBoundMapper(
-      MappingObjective objective = MappingObjective::kEdp,
-      int num_threads = 1);
-  /// General-spec search; throws std::invalid_argument unless
-  /// objective.mapper_compatible().  Bounds stay admissible because every
-  /// mapper-compatible metric is monotone nondecreasing in the prefix
-  /// (energy, latency) totals — see ObjectiveSpec::mapper_compatible.
-  explicit BranchBoundMapper(ObjectiveSpec objective, int num_threads = 1);
+  /// Throws std::invalid_argument unless objective.mapper_compatible().
+  /// Bounds stay admissible because every mapper-compatible metric is
+  /// monotone nondecreasing in the prefix (energy, latency) totals — see
+  /// ObjectiveSpec::mapper_compatible.
+  explicit BranchBoundMapper(ObjectiveSpec objective = {}, int num_threads = 1);
 
   [[nodiscard]] std::string name() const override { return "bnb"; }
   [[nodiscard]] const ObjectiveSpec& objective() const { return objective_; }
@@ -461,11 +442,8 @@ class BranchBoundMapper final : public Mapper {
 /// ~2^20 candidate assignments.
 class ExhaustiveMapper final : public Mapper {
  public:
-  explicit ExhaustiveMapper(
-      MappingObjective objective = MappingObjective::kEdp);
-  /// General-spec search; throws std::invalid_argument unless
-  /// objective.mapper_compatible().
-  explicit ExhaustiveMapper(ObjectiveSpec objective);
+  /// Throws std::invalid_argument unless objective.mapper_compatible().
+  explicit ExhaustiveMapper(ObjectiveSpec objective = {});
 
   [[nodiscard]] std::string name() const override { return "exhaustive"; }
   [[nodiscard]] Mapping map(const MappingProblem& problem) const override;

@@ -13,44 +13,9 @@ namespace simphony::core {
 
 namespace {
 
-constexpr double kInfeasible = std::numeric_limits<double>::infinity();
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
 }  // namespace
-
-// --------------------------------------------------- legacy objective
-
-const char* to_string(MappingObjective objective) {
-  switch (objective) {
-    case MappingObjective::kLatency:
-      return "latency";
-    case MappingObjective::kEnergy:
-      return "energy";
-    case MappingObjective::kEdp:
-      return "edp";
-  }
-  return "?";
-}
-
-std::optional<MappingObjective> parse_objective(const std::string& text) {
-  if (text == "latency") return MappingObjective::kLatency;
-  if (text == "energy") return MappingObjective::kEnergy;
-  if (text == "edp") return MappingObjective::kEdp;
-  return std::nullopt;
-}
-
-double objective_value(MappingObjective objective, double energy_pJ,
-                       double latency_ns) {
-  switch (objective) {
-    case MappingObjective::kLatency:
-      return latency_ns;
-    case MappingObjective::kEnergy:
-      return energy_pJ;
-    case MappingObjective::kEdp:
-      return energy_pJ * latency_ns;
-  }
-  return kInfeasible;
-}
 
 // ---------------------------------------------------- batch aggregate
 
@@ -289,18 +254,6 @@ double p99_latency_ns(const std::vector<double>& latency_ns,
 
 namespace {
 
-Metric metric_of(MappingObjective objective) {
-  switch (objective) {
-    case MappingObjective::kLatency:
-      return Metric::kLatency;
-    case MappingObjective::kEnergy:
-      return Metric::kEnergy;
-    case MappingObjective::kEdp:
-      return Metric::kEdp;
-  }
-  return Metric::kEdp;
-}
-
 [[noreturn]] void throw_unknown_metric(const std::string& name,
                                        size_t offset) {
   throw std::invalid_argument(
@@ -317,25 +270,13 @@ Metric metric_of(MappingObjective objective) {
 
 }  // namespace
 
-ObjectiveSpec::ObjectiveSpec() { referenced_ = {Metric::kEdp}; }
-
-ObjectiveSpec ObjectiveSpec::canned(MappingObjective objective) {
-  ObjectiveSpec spec;
-  spec.kind_ = Kind::kSingle;
-  spec.text_ = to_string(objective);
-  spec.canned_ = objective;
-  spec.single_ = metric_of(objective);
-  spec.referenced_ = {spec.single_};
-  return spec;
-}
-
 ObjectiveSpec ObjectiveSpec::parse(const std::string& text) {
   // Lexicographic tuple: comma-separated bare metric names.
   if (text.find(',') != std::string::npos) {
     ObjectiveSpec spec;
     spec.kind_ = Kind::kLexicographic;
     spec.text_ = text;
-    spec.canned_ = std::nullopt;
+    spec.canned_ = false;
     spec.referenced_.clear();
     size_t pos = 0;
     while (true) {
@@ -368,17 +309,13 @@ ObjectiveSpec ObjectiveSpec::parse(const std::string& text) {
     return spec;
   }
 
-  // The three legacy names stay canned: bit-identical scoring + output.
-  if (const std::optional<MappingObjective> legacy = parse_objective(text)) {
-    return canned(*legacy);
-  }
-
-  // Any other bare registry name is a single-metric spec.
+  // A bare registry name is a single-metric spec; the three legacy names
+  // stay canned so their output bytes do not change.
   if (const std::optional<Metric> metric = parse_metric(text)) {
     ObjectiveSpec spec;
     spec.kind_ = Kind::kSingle;
     spec.text_ = text;
-    spec.canned_ = std::nullopt;
+    spec.canned_ = text == "latency" || text == "energy" || text == "edp";
     spec.single_ = *metric;
     spec.referenced_ = {*metric};
     return spec;
@@ -443,7 +380,7 @@ ObjectiveSpec ObjectiveSpec::parse(const std::string& text) {
   ObjectiveSpec spec;
   spec.kind_ = Kind::kWeighted;
   spec.text_ = text;
-  spec.canned_ = std::nullopt;
+  spec.canned_ = false;
   spec.referenced_.clear();
   spec.coefficients_ = coefficients;
   spec.offset_ = offset;
@@ -508,7 +445,6 @@ bool ObjectiveSpec::less(const MetricVector& a, const MetricVector& b) const {
 }
 
 double ObjectiveSpec::mapper_score(double energy_pJ, double latency_ns) const {
-  if (canned_) return objective_value(*canned_, energy_pJ, latency_ns);
   MetricVector metrics;
   metrics.set(Metric::kEnergy, energy_pJ);
   metrics.set(Metric::kLatency, latency_ns);
@@ -520,8 +456,10 @@ double ObjectiveSpec::mapper_score(double energy_pJ, double latency_ns) const {
   metrics.set(Metric::kArea, 0.0);
   metrics.set(Metric::kEdp, energy_pJ * latency_ns);
   metrics.set(Metric::kEdap, energy_pJ * latency_ns);
-  const double one = 1.0;
-  metrics.set(Metric::kP99Latency, p99_latency_ns(&latency_ns, &one, 1));
+  if (references(Metric::kP99Latency)) {
+    const double one = 1.0;
+    metrics.set(Metric::kP99Latency, p99_latency_ns(&latency_ns, &one, 1));
+  }
   return value(metrics);
 }
 
@@ -557,7 +495,6 @@ bool ObjectiveSpec::mapper_compatible(std::string* why) const {
 std::vector<Metric> pareto_axes(const ObjectiveSpec& spec) {
   std::vector<Metric> axes = {Metric::kEnergy, Metric::kLatency,
                               Metric::kArea};
-  if (spec.canned_objective()) return axes;
   if (spec.references(Metric::kPower)) axes.push_back(Metric::kPower);
   if (spec.references(Metric::kP99Latency)) {
     axes.push_back(Metric::kP99Latency);

@@ -1,15 +1,11 @@
-// The unified metric/objective subsystem: one vocabulary of "what is an
+// The metric/objective subsystem: one vocabulary of "what is an
 // objective" shared by the mapper (core/mapper.h), the DSE engine
 // (core/dse.h), the exploration strategies (core/strategy.h), the
-// service facade (core/engine.h), and the CLI/server surface.
+// service facade (core/engine.h), and the CLI/server surface:
 //
-// Before this layer the notion of an objective lived in four divergent
-// places: MappingObjective (latency|energy|edp) in mapper.h,
-// BatchAggregate (sum|max|weighted) in workload_set.h, the fixed
-// (energy, latency, area) Pareto axes in dse.cpp, and the hardcoded
-// four-board leaderboard rank inside SuccessiveHalvingStrategy.  This
-// header is now the home of all of them, plus:
-//
+//   * BatchAggregate (sum|max|weighted) and fold_batch() — the one
+//     batch-totals fold shared by BatchReport::totals and the DSE batch
+//     evaluator.
 //   * Metric / MetricVector — named, ordered double slots (energy,
 //     latency, area, power, edp, edap, p99_latency) with NaN = unset.
 //   * metric_registry() — name -> Metric lookup with units and
@@ -17,15 +13,11 @@
 //   * ObjectiveSpec — a parsed objective: a single metric, a
 //     non-negative weighted sum over metrics (util/expr grammar, e.g.
 //     "0.6*edp+0.4*area"), or a lexicographic tuple ("latency,area").
-//     The three legacy names latency|energy|edp parse to *canned* specs
-//     that score through the original objective_value() switch, keeping
-//     every legacy code path (including BnB's admissible bounds)
-//     bit-identical.
+//     Every spec scores through the same path; the legacy names
+//     latency|energy|edp are "canned" only in what they serialize.
 //   * p99_latency_ns() — an M/G/1-style tail-latency approximation over
 //     per-model latencies + WorkloadSet weights (docs/metrics.md derives
-//     it), the first genuinely new metric carried through every layer.
-//   * fold_batch() — the one batch-totals fold shared by
-//     BatchReport::totals and the DSE batch evaluator.
+//     it).
 #pragma once
 
 #include <array>
@@ -37,29 +29,7 @@
 
 namespace simphony::core {
 
-// --------------------------------------------------- legacy objective
-// (moved verbatim from core/mapper.h; semantics unchanged)
-
-/// What a mapping search minimizes.  The three canonical objectives —
-/// now the canned fast path of ObjectiveSpec below.
-enum class MappingObjective {
-  kLatency,  // predicted critical-path latency (ns)
-  kEnergy,   // predicted total energy (pJ)
-  kEdp,      // energy-delay product (pJ * ns)
-};
-
-[[nodiscard]] const char* to_string(MappingObjective objective);
-
-/// "latency" | "energy" | "edp" -> objective; anything else -> nullopt.
-[[nodiscard]] std::optional<MappingObjective> parse_objective(
-    const std::string& text);
-
-/// Scalar cost of (energy, latency) under the objective.
-[[nodiscard]] double objective_value(MappingObjective objective,
-                                     double energy_pJ, double latency_ns);
-
 // ---------------------------------------------------- batch aggregate
-// (moved verbatim from core/workload_set.h; semantics unchanged)
 
 /// How per-model metrics of a batch fold into one figure per design
 /// point.
@@ -125,8 +95,7 @@ struct BatchFold {
 
 /// THE batch fold: energy/latency/MACs through aggregate_values, area as
 /// the per-model max, power/TOPS through derive_batch_metrics — in model
-/// order, bit-identical to the formerly duplicated folds in
-/// BatchReport::totals and the DSE evaluator.
+/// order.  BatchReport::totals and the DSE evaluator both fold through it.
 [[nodiscard]] BatchFold fold_batch(BatchAggregate aggregate,
                                    const std::vector<BatchModelSlice>& models);
 
@@ -225,10 +194,10 @@ inline constexpr double kP99Utilization = 0.8;
 ///               a non-negative linear combination (e.g.
 ///               "0.6*edp+0.4*area", "latency+0.01*power")
 ///
-/// The three legacy names latency|energy|edp parse to *canned* specs:
-/// canned specs score through the original objective_value() switch and
-/// opt out of every new serialization field, so all pre-refactor CLI /
-/// server / shard documents stay byte-identical.
+/// The three legacy names latency|energy|edp parse to *canned* specs.
+/// They score like any other single-metric spec; canned only means they
+/// add no serialization field (no "objective" stamp, no extra halving
+/// board), so legacy CLI / server / shard documents stay byte-identical.
 class ObjectiveSpec {
  public:
   enum class Kind {
@@ -238,7 +207,7 @@ class ObjectiveSpec {
   };
 
   /// The default objective: canned "edp".
-  ObjectiveSpec();
+  ObjectiveSpec() = default;
 
   /// Parses a spec string; throws std::invalid_argument with an
   /// offset-annotated diagnostic ("--objective: unknown metric 'foo' at
@@ -246,16 +215,12 @@ class ObjectiveSpec {
   /// negative weights.
   [[nodiscard]] static ObjectiveSpec parse(const std::string& text);
 
-  /// The legacy enum as a canned spec (the bit-identical fast path).
-  [[nodiscard]] static ObjectiveSpec canned(MappingObjective objective);
-
   [[nodiscard]] Kind kind() const { return kind_; }
   /// The original spec text (normal form for stamping/round-trips).
   [[nodiscard]] const std::string& text() const { return text_; }
-  /// Set iff the spec is one of the three canned legacy objectives.
-  [[nodiscard]] std::optional<MappingObjective> canned_objective() const {
-    return canned_;
-  }
+  /// True iff the spec is spelled latency, energy or edp (or is the
+  /// default spec): it adds no serialization field.
+  [[nodiscard]] bool canned_objective() const { return canned_; }
   /// Metrics the spec actually depends on (zero-weight terms dropped),
   /// in Metric enum order.
   [[nodiscard]] const std::vector<Metric>& referenced() const {
@@ -283,12 +248,12 @@ class ObjectiveSpec {
   [[nodiscard]] bool less(const MetricVector& a, const MetricVector& b) const;
 
   /// Mapping-search score of a candidate's predicted (energy, latency)
-  /// totals.  Canned specs call objective_value() verbatim; general
-  /// specs score a synthetic vector where area is 0 (assignment-
-  /// independent, so it only shifts every candidate equally... and a
+  /// totals: value() of a synthetic vector where area is 0 (assignment-
+  /// independent, so it only shifts every candidate equally, and a
   /// constant shift never reorders an argmin), edap degrades to edp
   /// (same reasoning), and p99 is the single-stream tail formula
-  /// (linear in latency).  Only call when mapper_compatible().
+  /// (linear in latency).  So "latency", "energy" and "edp" score
+  /// exactly L, E and E*L.  Only call when mapper_compatible().
   [[nodiscard]] double mapper_score(double energy_pJ,
                                     double latency_ns) const;
 
@@ -305,12 +270,12 @@ class ObjectiveSpec {
  private:
   Kind kind_ = Kind::kSingle;
   std::string text_ = "edp";
-  std::optional<MappingObjective> canned_ = MappingObjective::kEdp;
+  bool canned_ = true;
   Metric single_ = Metric::kEdp;
   std::vector<Metric> lex_;
   std::array<double, kMetricCount> coefficients_{};
   double offset_ = 0.0;
-  std::vector<Metric> referenced_;
+  std::vector<Metric> referenced_ = {Metric::kEdp};
 };
 
 /// The Pareto axes an objective implies: always the legacy

@@ -365,54 +365,4 @@ std::vector<DsePoint> FrontierRefineStrategy::finish() {
   return std::move(results_);
 }
 
-// --------------------------------------------------- InterleavedStrategy
-
-InterleavedStrategy::InterleavedStrategy(
-    std::vector<ExploreStrategy*> children)
-    : children_(std::move(children)) {
-  if (children_.empty()) {
-    throw std::invalid_argument(
-        "interleaved strategy needs at least one child");
-  }
-}
-
-void InterleavedStrategy::begin(Context context) {
-  cursor_ = 0;
-  proposer_ = 0;
-  awaiting_consume_ = false;
-  for (ExploreStrategy* child : children_) child->begin(context);
-}
-
-std::vector<ExploreStrategy::Candidate> InterleavedStrategy::next_batch() {
-  if (awaiting_consume_) return {};
-  for (size_t attempt = 0; attempt < children_.size(); ++attempt) {
-    const size_t child = (cursor_ + attempt) % children_.size();
-    std::vector<Candidate> batch = children_[child]->next_batch();
-    if (batch.empty()) continue;
-    proposer_ = child;
-    cursor_ = (child + 1) % children_.size();
-    awaiting_consume_ = true;
-    return batch;
-  }
-  return {};
-}
-
-void InterleavedStrategy::consume(const std::vector<DsePoint>& evaluated,
-                                  size_t fresh_evaluations) {
-  awaiting_consume_ = false;
-  children_[proposer_]->consume(evaluated, fresh_evaluations);
-}
-
-std::vector<DsePoint> InterleavedStrategy::finish() {
-  std::vector<DsePoint> merged;
-  std::unordered_set<size_t> taken;
-  for (ExploreStrategy* child : children_) {
-    for (DsePoint& point : child->finish()) {
-      if (!taken.insert(point.index).second) continue;
-      merged.push_back(std::move(point));
-    }
-  }
-  return merged;
-}
-
 }  // namespace simphony::core

@@ -1,8 +1,7 @@
 // Pluggable exploration strategies for the DSE engine (the ROADMAP's
-// "adaptive search" direction), composable in the style of klee-mc's
-// lib/Searcher: small strategy objects that propose batches of candidate
-// points and consume their evaluated results, stackable (Interleaved)
-// into one search policy.
+// "adaptive search" direction), in the style of klee-mc's lib/Searcher:
+// small strategy objects that propose batches of candidate points and
+// consume their evaluated results.
 //
 // The engine loop behind DseOptions::strategy (core/dse.cpp) is
 // fidelity-aware: every candidate carries a FidelityLevel, and the
@@ -223,35 +222,6 @@ class FrontierRefineStrategy final : public ExploreStrategy {
   size_t next_index_ = 0;
   std::unordered_set<arch::ArchParams, ArchParamsHash> seen_;
   std::vector<DsePoint> results_;
-};
-
-/// klee-mc-style combinator: round-robins next_batch() over child
-/// strategies (each child sees the full Context), routing every
-/// consume() to the child that proposed the batch.  finish()
-/// concatenates the children's results in child order, dropping
-/// duplicate canonical indices (first child wins).  Children are not
-/// owned and must outlive the combinator.  Library-level composition
-/// tool: not reachable from the CLI/JSON surface, and not meant for
-/// streaming sinks when children overlap (duplicate indices would be
-/// streamed twice).
-class InterleavedStrategy final : public ExploreStrategy {
- public:
-  /// Throws std::invalid_argument on an empty child list.
-  explicit InterleavedStrategy(std::vector<ExploreStrategy*> children);
-
-  [[nodiscard]] std::string name() const override { return "interleaved"; }
-
-  void begin(Context context) override;
-  [[nodiscard]] std::vector<Candidate> next_batch() override;
-  void consume(const std::vector<DsePoint>& evaluated,
-               size_t fresh_evaluations) override;
-  [[nodiscard]] std::vector<DsePoint> finish() override;
-
- private:
-  std::vector<ExploreStrategy*> children_;
-  size_t cursor_ = 0;    // next child to ask
-  size_t proposer_ = 0;  // child that produced the batch in flight
-  bool awaiting_consume_ = false;
 };
 
 }  // namespace simphony::core

@@ -167,12 +167,12 @@ TEST(AllocCount, WarmDesignPointCostsConstantHeapAllocations) {
   {
     SCOPED_TRACE("beam");
     expect_constant_allocs_per_point(
-        sim, entry, BeamMapper(4, MappingObjective::kEdp), budget);
+        sim, entry, BeamMapper(4), budget);
   }
   {
     SCOPED_TRACE("bnb");
     expect_constant_allocs_per_point(
-        sim, entry, BranchBoundMapper(MappingObjective::kEdp), budget);
+        sim, entry, BranchBoundMapper(), budget);
   }
 }
 
@@ -189,7 +189,7 @@ TEST(AllocCount, MapperScratchStaysOffTheHeapOnceWarm) {
   workload::convert_model_in_place(model);
   const WorkloadSet::Entry& entry = set.add(std::move(model));
 
-  const BeamMapper mapper(8, MappingObjective::kEdp);
+  const BeamMapper mapper(8);
   for (int i = 0; i < 4; ++i) {
     (void)sim.simulate_gemms_totals(entry.gemms, mapper, nullptr,
                                     entry.gemm_fingerprints.data());

@@ -172,9 +172,8 @@ TEST(SimulateBatch, BitIdenticalToIndependentRunsForEveryMapperObjectiveThreadCo
 
   std::vector<std::unique_ptr<Mapper>> mappers;
   mappers.push_back(std::make_unique<RuleMapper>(MappingConfig(0)));
-  for (const MappingObjective objective :
-       {MappingObjective::kLatency, MappingObjective::kEnergy,
-        MappingObjective::kEdp}) {
+  for (const char* name : {"latency", "energy", "edp"}) {
+    const ObjectiveSpec objective = ObjectiveSpec::parse(name);
     mappers.push_back(std::make_unique<GreedyMapper>(objective));
     mappers.push_back(std::make_unique<BeamMapper>(4, objective));
     mappers.push_back(std::make_unique<BranchBoundMapper>(objective));

@@ -317,9 +317,9 @@ TEST(CacheStore, ReloadedSweepBitIdenticalAcrossMappersAndThreadCounts) {
   space.tiles = {1, 2};
   space.wavelengths = {1, 2};
 
-  const GreedyMapper greedy(MappingObjective::kEdp);
-  const BeamMapper beam(4, MappingObjective::kEdp);
-  const BranchBoundMapper bnb(MappingObjective::kEdp);
+  const GreedyMapper greedy;
+  const BeamMapper beam(4);
+  const BranchBoundMapper bnb;
   const std::vector<const Mapper*> mappers = {&greedy, &beam, &bnb};
 
   for (const Mapper* mapper : mappers) {
@@ -374,7 +374,7 @@ TEST(CacheStore, SimulatorOverReloadedCacheReproducesTheReport) {
     return system;
   };
   const workload::Model model = workload::mlp_mnist();
-  const GreedyMapper greedy(MappingObjective::kEdp);
+  const GreedyMapper greedy;
 
   CostMatrixCache cache;
   SimulationOptions options;

@@ -60,9 +60,8 @@ WorkloadSet small_batch() {
 std::vector<std::unique_ptr<Mapper>> all_mappers() {
   std::vector<std::unique_ptr<Mapper>> mappers;
   mappers.push_back(std::make_unique<RuleMapper>(MappingConfig(0)));
-  for (const MappingObjective objective :
-       {MappingObjective::kLatency, MappingObjective::kEnergy,
-        MappingObjective::kEdp}) {
+  for (const char* name : {"latency", "energy", "edp"}) {
+    const ObjectiveSpec objective = ObjectiveSpec::parse(name);
     mappers.push_back(std::make_unique<GreedyMapper>(objective));
     mappers.push_back(std::make_unique<BeamMapper>(4, objective));
     mappers.push_back(std::make_unique<BranchBoundMapper>(objective));
@@ -130,7 +129,7 @@ TEST(Determinism, BatchedExploreAcrossThreadCounts) {
   DseSpace space;
   space.wavelengths = {1, 2};
   const WorkloadSet set = small_batch();
-  const BeamMapper mapper(4, MappingObjective::kEdp);
+  const BeamMapper mapper(4);
 
   CostMatrixCache cache;
   DseOptions serial;
@@ -158,9 +157,8 @@ TEST(Determinism, MapperInternalParallelismAcrossThreadCounts) {
   const Simulator sim(scatter_mzi_system(), sim_options);
   const workload::Model model = converted(workload::mlp_mnist());
 
-  for (const MappingObjective objective :
-       {MappingObjective::kLatency, MappingObjective::kEnergy,
-        MappingObjective::kEdp}) {
+  for (const char* name : {"latency", "energy", "edp"}) {
+    const ObjectiveSpec objective = ObjectiveSpec::parse(name);
     Mapping base_beam;
     const ModelReport beam_report =
         sim.simulate_model(model, BeamMapper(8, objective, 1), &base_beam);
@@ -169,7 +167,7 @@ TEST(Determinism, MapperInternalParallelismAcrossThreadCounts) {
         sim.simulate_model(model, BranchBoundMapper(objective, 1), &base_bnb);
 
     for (const int threads : kThreadCounts) {
-      SCOPED_TRACE("objective=" + std::string(to_string(objective)) +
+      SCOPED_TRACE("objective=" + std::string(name) +
                    " threads=" + std::to_string(threads));
       Mapping beam_chosen;
       const ModelReport beam_t = sim.simulate_model(
@@ -197,7 +195,7 @@ TEST(Determinism, BatchWithNestedParallelMapperAcrossThreadCounts) {
   // model: the nested dispatch (inline on pool workers, pooled from the
   // calling thread) must not change any figure.
   const WorkloadSet set = small_batch();
-  const BeamMapper mapper(4, MappingObjective::kEdp, 2);
+  const BeamMapper mapper(4, {}, 2);
 
   CostMatrixCache cache;
   SimulationOptions sim_options;
@@ -236,7 +234,7 @@ TEST(Determinism, CostCacheCountsAcrossThreadCounts) {
   WorkloadSet set;
   set.add(converted(workload::mlp_mnist()), "a");
   set.add(converted(workload::mlp_mnist()), "b");
-  const GreedyMapper mapper(MappingObjective::kEdp);
+  const GreedyMapper mapper;
 
   CostMatrixCache::Stats serial;
   for (const int threads : kThreadCounts) {
@@ -280,7 +278,7 @@ TEST(Determinism, PublishedShardFilesAcrossThreadCounts) {
   const std::vector<arch::PtcTemplate> templates{
       arch::scatter_template(), arch::clements_mzi_template()};
   const workload::Model model = converted(workload::mlp_mnist());
-  const GreedyMapper mapper(MappingObjective::kEdp);
+  const GreedyMapper mapper;
 
   for (const DseShard shard : {DseShard{0, 1}, DseShard{1, 2}}) {
     std::string serial_bytes;

@@ -188,15 +188,6 @@ TEST(DseShard, InvalidShardSpecThrows) {
 
 // -------------------------------------------------------------- samplers
 
-TEST(DseSampler, GridSamplerMatchesEnumerate) {
-  DseSpace space = small_space();
-  space.core_widths = {2, 8};
-  const std::vector<arch::ArchParams> grid = space.enumerate();
-  const std::vector<arch::ArchParams> sampled = GridSampler{}.sample(space);
-  ASSERT_EQ(sampled.size(), grid.size());
-  for (size_t i = 0; i < grid.size(); ++i) EXPECT_EQ(sampled[i], grid[i]);
-}
-
 TEST(DseSampler, RandomSamplerIsReproducibleAndInSpace) {
   const DseSpace space = small_space();
   const std::vector<arch::ArchParams> a = RandomSampler(25, 7).sample(space);

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 
 #include "arch/prebuilt.h"
@@ -59,16 +61,37 @@ double report_edp(const ModelReport& report) {
   return report.total_energy.total_pJ() * report.total_runtime_ns;
 }
 
-TEST(Mapper, ObjectiveParsingAndScalarization) {
-  EXPECT_EQ(parse_objective("latency"), MappingObjective::kLatency);
-  EXPECT_EQ(parse_objective("energy"), MappingObjective::kEnergy);
-  EXPECT_EQ(parse_objective("edp"), MappingObjective::kEdp);
-  EXPECT_FALSE(parse_objective("EDP").has_value());
-  EXPECT_STREQ(to_string(MappingObjective::kEdp), "edp");
+/// Bit-exact equality, with any NaN equal to any NaN (0 * inf may fold
+/// to a NaN of either sign at compile time).
+void expect_same_bits(double got, double want) {
+  if (std::isnan(want)) {
+    EXPECT_TRUE(std::isnan(got)) << got;
+  } else {
+    EXPECT_EQ(std::bit_cast<uint64_t>(got), std::bit_cast<uint64_t>(want))
+        << got << " vs " << want;
+  }
+}
 
-  EXPECT_EQ(objective_value(MappingObjective::kLatency, 2.0, 3.0), 3.0);
-  EXPECT_EQ(objective_value(MappingObjective::kEnergy, 2.0, 3.0), 2.0);
-  EXPECT_EQ(objective_value(MappingObjective::kEdp, 2.0, 3.0), 6.0);
+TEST(Mapper, ObjectiveParsingAndScalarization) {
+  const ObjectiveSpec latency = ObjectiveSpec::parse("latency");
+  const ObjectiveSpec energy = ObjectiveSpec::parse("energy");
+  const ObjectiveSpec edp = ObjectiveSpec::parse("edp");
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double e : {0.0, 2.0, inf}) {
+    for (double l : {0.0, 3.0, inf}) {
+      expect_same_bits(latency.mapper_score(e, l), l);
+      expect_same_bits(energy.mapper_score(e, l), e);
+      expect_same_bits(edp.mapper_score(e, l), e * l);
+      expect_same_bits(ObjectiveSpec().mapper_score(e, l), e * l);
+    }
+  }
+  EXPECT_THROW((void)ObjectiveSpec::parse("EDP"), std::invalid_argument);
+  EXPECT_TRUE(ObjectiveSpec().canned_objective());
+  for (const ObjectiveSpec& spec : {latency, energy, edp}) {
+    EXPECT_TRUE(spec.canned_objective()) << spec.text();
+  }
+  EXPECT_FALSE(ObjectiveSpec::parse("1.0*edp").canned_objective());
+  EXPECT_FALSE(ObjectiveSpec::parse("area").canned_objective());
 }
 
 TEST(Mapper, CostMatrixMarksInfeasiblePairs) {
@@ -92,7 +115,9 @@ TEST(Mapper, CostMatrixMarksInfeasiblePairs) {
   EXPECT_TRUE(costs.at(0, 0).feasible);
   EXPECT_FALSE(costs.at(0, 1).feasible);
   EXPECT_FALSE(costs.at(0, 1).error.empty());
-  EXPECT_TRUE(std::isinf(costs.cost(0, 1, MappingObjective::kEdp)));
+  EXPECT_EQ(costs.feasible_row(0)[1], 0);
+  EXPECT_TRUE(std::isinf(costs.energy_row(0)[1]));
+  EXPECT_TRUE(std::isinf(costs.latency_row(0)[1]));
   EXPECT_EQ(costs.feasible_subarchs(0), std::vector<size_t>{0});
 }
 
@@ -142,8 +167,8 @@ TEST(Mapper, GreedyMatchesExhaustiveForAdditiveObjectives) {
     const CostMatrix costs = sim.build_cost_matrix(gemms);
     MappingProblem problem{&gemms, &costs, 2};
 
-    for (MappingObjective obj :
-         {MappingObjective::kLatency, MappingObjective::kEnergy}) {
+    for (const char* name : {"latency", "energy"}) {
+      const ObjectiveSpec obj = ObjectiveSpec::parse(name);
       const Mapping greedy = GreedyMapper(obj).map(problem);
       const Mapping exact = ExhaustiveMapper(obj).map(problem);
       EXPECT_EQ(greedy.assignment, exact.assignment) << round;
@@ -177,9 +202,9 @@ TEST(Mapper, BeamMatchesExhaustiveOracleOnRandomSmallModels) {
 
     const size_t exhaustive_width = 243;  // 3^5 >= S^(n-1) for n <= 6
     const Mapping beam =
-        BeamMapper(exhaustive_width, MappingObjective::kEdp).map(problem);
+        BeamMapper(exhaustive_width).map(problem);
     const Mapping exact =
-        ExhaustiveMapper(MappingObjective::kEdp).map(problem);
+        ExhaustiveMapper().map(problem);
     EXPECT_EQ(beam.assignment, exact.assignment)
         << "round=" << round << " layers=" << layers;
     EXPECT_EQ(beam.predicted_cost, exact.predicted_cost) << round;
@@ -199,10 +224,10 @@ TEST(Mapper, BeamParallelBitIdenticalToSerial) {
   MappingProblem problem{&gemms, &costs, 2};
 
   const Mapping serial =
-      BeamMapper(8, MappingObjective::kEdp, /*num_threads=*/1).map(problem);
+      BeamMapper(8, {}, /*num_threads=*/1).map(problem);
   for (int threads : {0, 2, 4, 8}) {
     const Mapping parallel =
-        BeamMapper(8, MappingObjective::kEdp, threads).map(problem);
+        BeamMapper(8, {}, threads).map(problem);
     EXPECT_EQ(parallel.assignment, serial.assignment) << threads;
     EXPECT_EQ(parallel.predicted_cost, serial.predicted_cost) << threads;
     EXPECT_EQ(parallel.predicted_energy_pJ, serial.predicted_energy_pJ)
@@ -227,10 +252,10 @@ TEST(Mapper, SearchedMappingsNoWorseThanFixedRulesOnVgg8Hetero) {
 
   Mapping greedy_mapping;
   const ModelReport greedy = sim.simulate_model(
-      model, GreedyMapper(MappingObjective::kEdp), &greedy_mapping);
+      model, GreedyMapper(), &greedy_mapping);
   Mapping beam_mapping;
   const ModelReport beam = sim.simulate_model(
-      model, BeamMapper(8, MappingObjective::kEdp), &beam_mapping);
+      model, BeamMapper(8), &beam_mapping);
 
   EXPECT_LE(report_edp(greedy), report_edp(fixed));
   EXPECT_LE(report_edp(beam), report_edp(fixed));
@@ -262,7 +287,7 @@ TEST(Mapper, GreedyRoutesDynamicLayersAwayFromStaticMesh) {
 
   Mapping mapping;
   const ModelReport report = sim.simulate_model(
-      model, GreedyMapper(MappingObjective::kEdp), &mapping);
+      model, GreedyMapper(), &mapping);
   ASSERT_EQ(mapping.assignment.size(), 2u);
   EXPECT_EQ(mapping.assignment[1], kLt);  // mesh is infeasible for QK^T
   EXPECT_GT(report.total_runtime_ns, 0.0);
@@ -363,7 +388,7 @@ TEST(Mapper, DseMapperCostsPointsUnderSearchedMapping) {
   const DseResult unmapped =
       explore(templates, g_lib, model, space, fixed);
 
-  const GreedyMapper latency_greedy(MappingObjective::kLatency);
+  const GreedyMapper latency_greedy(ObjectiveSpec::parse("latency"));
   DseOptions searched = fixed;
   searched.mapper = &latency_greedy;
   const DseResult mapped =

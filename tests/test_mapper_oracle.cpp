@@ -28,9 +28,7 @@ namespace {
 
 devlib::DeviceLibrary g_lib = devlib::DeviceLibrary::standard();
 
-constexpr MappingObjective kAllObjectives[] = {MappingObjective::kLatency,
-                                               MappingObjective::kEnergy,
-                                               MappingObjective::kEdp};
+constexpr const char* kAllObjectives[] = {"latency", "energy", "edp"};
 
 /// A synthetic mapping problem: a cost matrix with directly constructed
 /// per-pair reports plus the dummy GEMM list error paths need.
@@ -115,13 +113,14 @@ TEST(MapperOracle, BranchBoundMatchesExhaustiveOnRandomProblems) {
         random_problem(rng, n, S, p_infeasible, tie_heavy);
     const MappingProblem problem = sp.problem();
 
-    for (MappingObjective objective : kAllObjectives) {
+    for (const char* name : kAllObjectives) {
+      const ObjectiveSpec objective = ObjectiveSpec::parse(name);
       const Mapping oracle = ExhaustiveMapper(objective).map(problem);
       const Mapping bnb = BranchBoundMapper(objective).map(problem);
       expect_same_mapping(bnb, oracle,
                           "round=" + std::to_string(round) + " n=" +
                               std::to_string(n) + " S=" + std::to_string(S) +
-                              " objective=" + to_string(objective));
+                              " objective=" + name);
     }
   }
 }
@@ -132,14 +131,15 @@ TEST(MapperOracle, BranchBoundParallelBitIdenticalToSerialAndExhaustive) {
     const SyntheticProblem sp = random_problem(rng, 12, 3, 0.2,
                                                /*tie_heavy=*/round == 2);
     const MappingProblem problem = sp.problem();
-    for (MappingObjective objective : kAllObjectives) {
+    for (const char* name : kAllObjectives) {
+      const ObjectiveSpec objective = ObjectiveSpec::parse(name);
       const Mapping oracle = ExhaustiveMapper(objective).map(problem);
       for (int threads : {1, 2, 4, 8, 0}) {
         const Mapping bnb =
             BranchBoundMapper(objective, threads).map(problem);
         expect_same_mapping(bnb, oracle,
                             "threads=" + std::to_string(threads) +
-                                " objective=" + to_string(objective));
+                                " objective=" + name);
       }
     }
   }
@@ -159,7 +159,7 @@ TEST(MapperOracle, BranchBoundPrunesMostOfTheTree) {
   const MappingProblem problem = sp.problem();
 
   BranchBoundMapper::Stats stats;
-  const Mapping bnb = BranchBoundMapper(MappingObjective::kLatency)
+  const Mapping bnb = BranchBoundMapper(ObjectiveSpec::parse("latency"))
                           .map_counted(problem, &stats);
   EXPECT_EQ(bnb.assignment, std::vector<size_t>(n, 0));
   EXPECT_GT(stats.visited, 0u);
@@ -174,7 +174,8 @@ TEST(MapperOracle, BranchBoundEmptyProblemMatchesExhaustive) {
   SyntheticProblem sp;
   sp.costs = CostMatrix(0, 2);
   const MappingProblem problem = sp.problem();
-  for (MappingObjective objective : kAllObjectives) {
+  for (const char* name : kAllObjectives) {
+    const ObjectiveSpec objective = ObjectiveSpec::parse(name);
     expect_same_mapping(BranchBoundMapper(objective).map(problem),
                         ExhaustiveMapper(objective).map(problem), "empty");
   }
@@ -194,8 +195,8 @@ TEST(MapperOracle, GreedyOptimalForAdditiveObjectivesOnRandomProblems) {
         random_problem(rng, n, S, round % 2 == 0 ? 0.0 : 0.3,
                        /*tie_heavy=*/round % 4 < 2);
     const MappingProblem problem = sp.problem();
-    for (MappingObjective objective :
-         {MappingObjective::kLatency, MappingObjective::kEnergy}) {
+    for (const char* name : {"latency", "energy"}) {
+      const ObjectiveSpec objective = ObjectiveSpec::parse(name);
       expect_same_mapping(GreedyMapper(objective).map(problem),
                           ExhaustiveMapper(objective).map(problem),
                           "round=" + std::to_string(round));
@@ -216,7 +217,8 @@ TEST(MapperOracle, WideBeamMatchesExhaustiveOnRandomProblems) {
     const MappingProblem problem = sp.problem();
     size_t width = 1;
     for (size_t i = 1; i < n; ++i) width *= S;
-    for (MappingObjective objective : kAllObjectives) {
+    for (const char* name : kAllObjectives) {
+      const ObjectiveSpec objective = ObjectiveSpec::parse(name);
       expect_same_mapping(BeamMapper(width, objective).map(problem),
                           ExhaustiveMapper(objective).map(problem),
                           "round=" + std::to_string(round));
@@ -313,7 +315,8 @@ TEST(MapperOracle, BranchBoundMatchesExhaustiveOnSimulatedModels) {
     workload::Model model =
         random_model(rng, static_cast<size_t>(rng.uniform_int(1, 5)));
     workload::convert_model_in_place(model);
-    for (MappingObjective objective : kAllObjectives) {
+    for (const char* name : kAllObjectives) {
+      const ObjectiveSpec objective = ObjectiveSpec::parse(name);
       Mapping bnb_mapping;
       const ModelReport bnb_report = sim.simulate_model(
           model, BranchBoundMapper(objective), &bnb_mapping);
@@ -373,7 +376,7 @@ TEST(MapperOracle, CachedExploreBitIdenticalForEverySamplerAndThreadCount) {
   space.tiles = {1, 2};
   space.wavelengths = {1, 2};
 
-  const GreedyMapper greedy(MappingObjective::kEdp);
+  const GreedyMapper greedy;
   const RandomSampler random_sampler(5, 3);
   const LatinHypercubeSampler lhs_sampler(5, 3);
   const std::vector<std::pair<const DseSampler*, std::string>> samplers = {
@@ -432,7 +435,7 @@ TEST(MapperOracle, CacheHitsKeepPerLayerIdentity) {
       "attn_b", workload::LayerType::kMatMulQK, 32, 16, 32, 2));
 
   const ModelReport report =
-      sim.simulate_model(model, GreedyMapper(MappingObjective::kEdp));
+      sim.simulate_model(model, GreedyMapper());
   ASSERT_EQ(report.layers.size(), 2u);
   EXPECT_EQ(report.layers[0].layer_name, "attn_a");
   EXPECT_EQ(report.layers[1].layer_name, "attn_b");
@@ -448,7 +451,7 @@ TEST(MapperOracle, CacheHitsKeepPerLayerIdentity) {
   const Simulator sim2(std::move(system2), options);
   const CostMatrixCache::Stats before = cache.stats();
   const ModelReport report2 =
-      sim2.simulate_model(model, GreedyMapper(MappingObjective::kEdp));
+      sim2.simulate_model(model, GreedyMapper());
   EXPECT_EQ(report2.total_runtime_ns, report.total_runtime_ns);
   EXPECT_EQ(report2.total_energy.total_pJ(),
             report.total_energy.total_pJ());

@@ -10,7 +10,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <string>
 #include <vector>
@@ -124,26 +126,51 @@ TEST(P99Latency, MixMatchesHandComputedApproximation) {
 // ------------------------------------------------------ objective spec
 
 TEST(ObjectiveSpecParse, CannedLegacyNamesStayCanned) {
-  for (MappingObjective legacy :
-       {MappingObjective::kLatency, MappingObjective::kEnergy,
-        MappingObjective::kEdp}) {
-    const ObjectiveSpec spec = ObjectiveSpec::parse(to_string(legacy));
+  struct Legacy {
+    const char* name;
+    double (*score)(double energy, double latency);
+  };
+  const Legacy legacy[] = {
+      {"latency", [](double, double l) { return l; }},
+      {"energy", [](double e, double) { return e; }},
+      {"edp", [](double e, double l) { return e * l; }},
+  };
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const Legacy& row : legacy) {
+    const ObjectiveSpec spec = ObjectiveSpec::parse(row.name);
     EXPECT_EQ(spec.kind(), ObjectiveSpec::Kind::kSingle);
-    ASSERT_TRUE(spec.canned_objective().has_value());
-    EXPECT_EQ(*spec.canned_objective(), legacy);
-    EXPECT_EQ(spec.text(), to_string(legacy));
-    // Canned scoring IS the legacy switch.
-    EXPECT_EQ(spec.mapper_score(2.0, 3.0),
-              objective_value(legacy, 2.0, 3.0));
+    EXPECT_TRUE(spec.canned_objective()) << row.name;
+    EXPECT_EQ(spec.text(), row.name);
+    // The legacy names score exactly L, E and E*L, bit for bit, at 0
+    // and +inf too (0 * inf is a NaN of either sign).
+    for (double e : {0.0, 2.0, inf}) {
+      for (double l : {0.0, 3.0, inf}) {
+        const double want = row.score(e, l);
+        const double got = spec.mapper_score(e, l);
+        if (std::isnan(want)) {
+          EXPECT_TRUE(std::isnan(got)) << row.name;
+        } else {
+          EXPECT_EQ(std::bit_cast<uint64_t>(got),
+                    std::bit_cast<uint64_t>(want))
+              << row.name << " at (" << e << ", " << l << ")";
+        }
+      }
+    }
   }
   // Default-constructed spec: canned edp.
-  EXPECT_EQ(ObjectiveSpec().canned_objective(), MappingObjective::kEdp);
+  EXPECT_TRUE(ObjectiveSpec().canned_objective());
+  EXPECT_EQ(ObjectiveSpec().text(), "edp");
+  EXPECT_EQ(ObjectiveSpec().mapper_score(2.0, 3.0), 6.0);
+  // Canned is a spelling, not a score: these are not canned.
+  EXPECT_FALSE(ObjectiveSpec::parse("1.0*edp").canned_objective());
+  EXPECT_FALSE(ObjectiveSpec::parse("area").canned_objective());
+  EXPECT_THROW((void)ObjectiveSpec::parse("EDP"), std::invalid_argument);
 }
 
 TEST(ObjectiveSpecParse, SingleWeightedAndLexicographicShapes) {
   const ObjectiveSpec area = ObjectiveSpec::parse("area");
   EXPECT_EQ(area.kind(), ObjectiveSpec::Kind::kSingle);
-  EXPECT_FALSE(area.canned_objective().has_value());
+  EXPECT_FALSE(area.canned_objective());
   EXPECT_EQ(area.referenced(), std::vector<Metric>{Metric::kArea});
 
   const ObjectiveSpec weighted = ObjectiveSpec::parse("0.6*edp+0.4*area");
@@ -160,7 +187,7 @@ TEST(ObjectiveSpecParse, SingleWeightedAndLexicographicShapes) {
   // "1.0 * metric"-shaped expressions normalize to a single-metric spec.
   const ObjectiveSpec unit = ObjectiveSpec::parse("1.0*edap");
   EXPECT_EQ(unit.kind(), ObjectiveSpec::Kind::kSingle);
-  EXPECT_FALSE(unit.canned_objective().has_value());
+  EXPECT_FALSE(unit.canned_objective());
 
   const ObjectiveSpec lex = ObjectiveSpec::parse("latency, energy");
   EXPECT_EQ(lex.kind(), ObjectiveSpec::Kind::kLexicographic);

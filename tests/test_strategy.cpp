@@ -2,9 +2,9 @@
 // schedule's byte-identity against recorded goldens across samplers,
 // mappers, and thread counts; successive halving's determinism, its
 // frontier-best-per-objective recovery at a bounded full-fidelity
-// budget, sharding, and resume; frontier refinement; the interleaved
-// combinator; and — when SIMPHONY_CLI_PATH is defined — the engine /
-// CLI byte-identity of a halving sweep.
+// budget, sharding, and resume; frontier refinement; and — when
+// SIMPHONY_CLI_PATH is defined — the engine / CLI byte-identity of a
+// halving sweep.
 #include "core/strategy.h"
 
 #include <gtest/gtest.h>
@@ -86,7 +86,6 @@ TEST(Strategy, ConstructorsValidateTheirKnobs) {
   EXPECT_THROW(SuccessiveHalvingStrategy(3, 0), std::invalid_argument);
   EXPECT_THROW(FrontierRefineStrategy(small_space(), 0),
                std::invalid_argument);
-  EXPECT_THROW(InterleavedStrategy({}), std::invalid_argument);
 }
 
 // ------------------------------------------ one-shot == recorded goldens
@@ -329,27 +328,6 @@ TEST(Strategy, FrontierRefinementAppendsNeighborsBeyondTheSampledList) {
   }
   EXPECT_GT(refined, 0u);
   expect_bit_identical(run(), first);  // deterministic
-}
-
-// ------------------------------------------------ interleaved combinator
-
-TEST(Strategy, InterleavedDropsDuplicateIndicesFirstChildWins) {
-  const DseSpace space = small_space();
-  const workload::Model model = workload::mlp_mnist();
-  // Two one-shot children both propose the whole slice; the combinator
-  // must evaluate both batches but keep each canonical index once.
-  OneShotStrategy a;
-  OneShotStrategy b;
-  InterleavedStrategy interleaved({&a, &b});
-  DseOptions options;
-  options.num_threads = 2;
-  options.strategy = &interleaved;
-  const DseResult result =
-      explore(arch::tempo_template(), g_lib, model, space, options);
-
-  const DseResult expected =
-      explore(arch::tempo_template(), g_lib, model, space, DseOptions{});
-  expect_bit_identical(result, expected);
 }
 
 // ------------------------------------------------- CLI byte-identity
