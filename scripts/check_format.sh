@@ -18,6 +18,8 @@ CLANG_FORMAT="${1:-${CLANG_FORMAT:-clang-format}}"
 ALLOWLIST=(
   src/core/metrics.h
   src/core/metrics.cpp
+  src/energy/operand_power.h
+  src/energy/operand_power.cpp
   tests/test_metrics.cpp
   tests/test_metrics_oracle.cpp
 )

@@ -1,7 +1,10 @@
 #include "devlib/power_model.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 
 namespace simphony::devlib {
@@ -17,8 +20,24 @@ std::string to_string(PowerFidelity fidelity) {
 
 double PowerModel::mean_power_mW(std::span<const float> values) const {
   if (values.empty()) return 0.0;
+  // Direct-mapped memo of power_mW keyed by the value's float bit pattern.
+  // A key wider than 32 bits marks an empty slot; a collision recomputes
+  // and overwrites, so the memo only ever skips a call that would return
+  // the same double.  The sum runs in element order, as a plain loop does.
+  constexpr int kSlotBits = 12;  // 4096 slots x 16 B = 64 KiB of stack
+  struct Slot {
+    uint64_t key;
+    double power_mW;
+  };
+  std::array<Slot, size_t{1} << kSlotBits> table;
+  table.fill({~uint64_t{0}, 0.0});
   double sum = 0.0;
-  for (float v : values) sum += power_mW(v);
+  for (float v : values) {
+    const auto bits = std::bit_cast<uint32_t>(v);
+    Slot& slot = table[(bits * 0x9e3779b1u) >> (32 - kSlotBits)];
+    if (slot.key != bits) slot = {bits, power_mW(v)};
+    sum += slot.power_mW;
+  }
   return sum / static_cast<double>(values.size());
 }
 
@@ -32,6 +51,9 @@ TabulatedPowerModel::TabulatedPowerModel(std::vector<Sample> samples)
 }
 
 double TabulatedPowerModel::power_mW(double value) const {
+  // NaN fails every comparison below; without this, lower_bound would
+  // return begin() and the bracket would start before the table.
+  if (std::isnan(value)) return value;
   if (value <= samples_.front().value) return samples_.front().power_mW;
   if (value >= samples_.back().value) return samples_.back().power_mW;
   // Binary search for the bracketing segment.

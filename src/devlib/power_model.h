@@ -31,14 +31,18 @@ class PowerModel {
   virtual ~PowerModel() = default;
 
   /// Power in mW while the device encodes `value` (normalized to [-1, 1]).
+  /// Must be a pure function of `value`: mean_power_mW reuses its results.
   [[nodiscard]] virtual double power_mW(double value) const = 0;
 
   [[nodiscard]] virtual PowerFidelity fidelity() const = 0;
 
   /// Mean power over a set of encoded values (pruned/gated values excluded
-  /// by the caller).  Default: arithmetic mean of power_mW.
-  [[nodiscard]] virtual double mean_power_mW(
-      std::span<const float> values) const;
+  /// by the caller): the arithmetic mean of power_mW, summed in element
+  /// order.  power_mW is called once per distinct value (bit pattern),
+  /// again only when two values evict each other from a slot of the
+  /// fixed-size memo; the result is bit-identical to calling it per
+  /// element.
+  [[nodiscard]] double mean_power_mW(std::span<const float> values) const;
 };
 
 /// Data-unaware: constant worst-case/library reference power.
@@ -54,7 +58,9 @@ class ConstantPowerModel final : public PowerModel {
   double power_mW_;
 };
 
-/// Analytical: user-supplied closed form P(value).
+/// Analytical: user-supplied closed form P(value).  The closure must be
+/// pure (no state, no side effects): mean_power_mW calls it once per
+/// distinct value, not once per element.
 class AnalyticalPowerModel final : public PowerModel {
  public:
   explicit AnalyticalPowerModel(std::function<double(double)> fn)

@@ -2,10 +2,13 @@
 //
 // The data-aware weight-cell energy charges every cell for the power its
 // actual operand value draws: a walk over every weight of the GEMM
-// through the phase-shifter power model.  The walk's result depends only
-// on (weight content, P_pi, fidelity), none of which changes across the
-// design points of a sweep, so a cost-matrix fill over many points would
-// otherwise repeat the same walk once per (point, sub-arch, GEMM) miss.
+// through the phase-shifter power model.  The walk calls power_mW once per
+// distinct weight value, not per weight (quantized weights have at most
+// 2^bits levels), so the model, and any AnalyticalPowerModel closure, must
+// be pure.  The walk's result depends only on (weight content, P_pi,
+// fidelity), none of which changes across the design points of a sweep,
+// so a cost-matrix fill over many points would otherwise repeat the same
+// walk once per (point, sub-arch, GEMM) miss.
 //
 // OperandPowerMemo stores each walk result under (content key, P_pi bit
 // pattern, fidelity).  The content key is the caller's content
@@ -31,7 +34,10 @@
 namespace simphony::energy {
 
 /// Mean phase-shifter power over `values` (normalized operands) at
-/// `fidelity`: the un-memoized walk, one power-model call per value.
+/// `fidelity`: the un-memoized walk.  It sums in element order but calls
+/// the power model once per distinct value (devlib::PowerModel::
+/// mean_power_mW), which is exact because the model, like any
+/// AnalyticalPowerModel closure, must be pure.
 [[nodiscard]] double walk_mean_power_mW(double p_pi_mW,
                                         devlib::PowerFidelity fidelity,
                                         std::span<const float> values);
@@ -73,9 +79,9 @@ class OperandPowerMemo {
   };
   struct KeyHash {
     size_t operator()(const Key& key) const {
-      return static_cast<size_t>(
-          key.content ^ (key.p_pi_bits * 0x9e3779b97f4a7c15ULL) ^
-          static_cast<uint64_t>(key.fidelity));
+      const uint64_t p_pi = key.p_pi_bits * 0x9e3779b97f4a7c15ULL;
+      const auto fidelity = static_cast<uint64_t>(key.fidelity);
+      return static_cast<size_t>(key.content ^ p_pi ^ fidelity);
     }
   };
   /// One key's walk: `once` runs it, `ready` publishes `value`.  Shared

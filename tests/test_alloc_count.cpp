@@ -28,25 +28,31 @@
 #include <cstdio>
 #include <cstdlib>
 #include <new>
+#include <utility>
 
 #include "arch/prebuilt.h"
 #include "core/mapper.h"
 #include "core/simulator.h"
 #include "core/workload_set.h"
+#include "energy/operand_power.h"
 #include "util/arena.h"
+#include "util/rng.h"
 #include "workload/onn_convert.h"
 
 namespace {
 std::atomic<std::uint64_t> g_allocations{0};
+std::atomic<std::uint64_t> g_allocated_bytes{0};
 
 void* counted_alloc(std::size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_allocated_bytes.fetch_add(size, std::memory_order_relaxed);
   if (void* p = std::malloc(size ? size : 1)) return p;
   throw std::bad_alloc();
 }
 
 void* counted_alloc_aligned(std::size_t size, std::size_t alignment) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_allocated_bytes.fetch_add(size, std::memory_order_relaxed);
   void* p = nullptr;
   if (posix_memalign(&p, alignment < sizeof(void*) ? sizeof(void*) : alignment,
                      size ? size : 1) != 0) {
@@ -66,10 +72,12 @@ void* operator new[](std::size_t size, std::align_val_t align) {
 }
 void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_allocated_bytes.fetch_add(size, std::memory_order_relaxed);
   return std::malloc(size ? size : 1);
 }
 void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_allocated_bytes.fetch_add(size, std::memory_order_relaxed);
   return std::malloc(size ? size : 1);
 }
 void operator delete(void* p) noexcept { std::free(p); }
@@ -221,6 +229,30 @@ TEST(AllocCount, OperandPowerMemoHitsDoNotAllocate) {
   EXPECT_EQ(hit, walked);
   EXPECT_EQ(memo.stats().walks, 1u);
   EXPECT_EQ(memo.stats().hits, 64u);
+}
+
+TEST(AllocCount, OperandPowerWalkDoesNotGrowWithItsInput) {
+  // The walk's level memo is fixed-size: 10 values and 1 M distinct
+  // values cost the same allocations, of the same bytes (those of
+  // building the power model).
+  util::Rng rng(9);
+  const workload::Tensor few = workload::Tensor::randn({10}, rng);
+  const workload::Tensor many = workload::Tensor::randn({1 << 20}, rng);
+  for (const devlib::PowerFidelity fidelity :
+       {devlib::PowerFidelity::kAnalytical,
+        devlib::PowerFidelity::kTabulated}) {
+    const auto walk = [&](const workload::Tensor& t) {
+      const std::uint64_t bytes_before =
+          g_allocated_bytes.load(std::memory_order_relaxed);
+      const std::uint64_t allocations = count_allocations([&] {
+        (void)energy::walk_mean_power_mW(20.0, fidelity, t.data());
+      });
+      return std::pair{allocations,
+                       g_allocated_bytes.load(std::memory_order_relaxed) -
+                           bytes_before};
+    };
+    EXPECT_EQ(walk(few), walk(many)) << devlib::to_string(fidelity);
+  }
 }
 
 }  // namespace
